@@ -22,7 +22,6 @@ from repro.reliability import (
     CoverageModel,
     ReliabilityModel,
     default_coverage_config,
-    sweep_coverage_regimes,
     sweep_regimes,
 )
 
@@ -96,8 +95,9 @@ def test_coverage_predictor_beats_gated_mission_by_100x(artifact_dir):
 
     # And the regime-search amortization on top of it.
     t0 = time.perf_counter()
-    regimes = sweep_coverage_regimes(
-        base=campaign, n_regimes=N_REGIMES, seed=0, top_k=3)
+    regimes = sweep_regimes(
+        base=campaign, n_regimes=N_REGIMES, seed=0, top_k=3,
+        model=CoverageModel)
     sweep_s = (time.perf_counter() - t0) / N_REGIMES
 
     speedup = empirical_s / analytic_s

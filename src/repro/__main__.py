@@ -29,6 +29,7 @@ from repro import (
     build_table1,
     run_mission,
 )
+from repro.core.errors import ReproError
 
 
 def _add_mission_args(parser: argparse.ArgumentParser) -> None:
@@ -208,43 +209,24 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.core.config import MissionConfig
-    from repro.faults.campaign import FaultCampaign
     from repro.reliability import (
         CoverageModel,
         ReliabilityModel,
-        default_coverage_config,
-        sweep_coverage_regimes,
         sweep_regimes,
         validate_campaign,
-        validate_coverage_campaign,
     )
 
-    coverage = getattr(args, "coverage", False)
+    model = {m.KIND: m for m in (ReliabilityModel, CoverageModel)}[args.model]
 
-    def _campaign(seed: int) -> FaultCampaign:
-        if coverage:
-            return FaultCampaign.coverage_reference(days=args.days, seed=seed)
-        return FaultCampaign.reference(days=args.days, seed=seed)
-
-    cfg = MissionConfig(days=args.days, seed=args.seed)
-
-    def _model(campaign: FaultCampaign):
-        if coverage:
-            return CoverageModel(campaign)
-        return ReliabilityModel(campaign,
-                                earth_link_delay_s=cfg.earth_link_delay_s)
-
-    def _validate(campaign: FaultCampaign):
-        if coverage:
-            mission_cfg = dataclasses.replace(
-                default_coverage_config(campaign), seed=args.seed)
-            return validate_coverage_campaign(
-                campaign, mission_cfg, confidence=args.confidence)
-        return validate_campaign(campaign, cfg, confidence=args.confidence)
+    def _validate(campaign):
+        cfg = dataclasses.replace(model.default_config(campaign), seed=args.seed)
+        return validate_campaign(campaign, cfg, confidence=args.confidence,
+                                 model=model)
 
     if args.rel_command == "predict":
-        prediction = _model(_campaign(args.campaign_seed)).predict(args.confidence)
+        campaign = model.reference_campaign(days=args.days,
+                                            seed=args.campaign_seed)
+        prediction = model(campaign).predict(args.confidence)
         print(prediction.to_text())
         if args.json:
             print()
@@ -252,7 +234,8 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         return 0
 
     if args.rel_command == "validate":
-        result, report = _validate(_campaign(args.campaign_seed))
+        result, report = _validate(model.reference_campaign(
+            days=args.days, seed=args.campaign_seed))
         print(result.to_text())
         print()
         print(report.to_text())
@@ -264,16 +247,11 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         return 0 if result.all_inside else 1
 
     # search
-    if coverage:
-        regimes = sweep_coverage_regimes(
-            base=_campaign(0), n_regimes=args.regimes, seed=args.sweep_seed,
-            top_k=args.top)
-    else:
-        regimes = sweep_regimes(
-            base=_campaign(0), n_regimes=args.regimes, seed=args.sweep_seed,
-            top_k=args.top, earth_link_delay_s=cfg.earth_link_delay_s)
-    kind = "coverage" if coverage else "reliability"
-    print(f"swept {args.regimes} {kind} regimes analytically; "
+    regimes = sweep_regimes(
+        base=model.reference_campaign(days=args.days, seed=0),
+        n_regimes=args.regimes, seed=args.sweep_seed, top_k=args.top,
+        model=model)
+    print(f"swept {args.regimes} {model.KIND} regimes analytically; "
           f"top {args.top} predicted-worst:")
     for regime in regimes:
         print(f"  {regime.to_text()}")
@@ -281,11 +259,10 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    prefix = "coverage-regime" if coverage else "regime"
     for regime in regimes:
         artifact = {
             "regime": regime.to_dict(),
-            "prediction": _model(regime.campaign).predict(args.confidence).to_dict(),
+            "prediction": model(regime.campaign).predict(args.confidence).to_dict(),
         }
         if args.empirical:
             result, report = _validate(regime.campaign)
@@ -298,7 +275,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
             if not result.all_inside:
                 failures += 1
         if out_dir is not None:
-            path = out_dir / f"{prefix}-{regime.rank}.json"
+            path = out_dir / f"{model.REGIME_FILE}-{regime.rank}.json"
             path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
     if args.json:
@@ -334,31 +311,6 @@ def cmd_quality(args: argparse.Namespace) -> int:
         print()
         print(result.quality.to_json())
     return 0
-
-
-def _service_errors(fn):
-    """Fold service failures into clean one-line CLI errors.
-
-    An unreachable or locked registry must not dump a traceback:
-    operational errors exit 2 with one line on stderr, and admission
-    rejections exit 75 (EX_TEMPFAIL) so schedulers know to retry.
-    """
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(args: argparse.Namespace) -> int:
-        from repro.service import QueueFullError, ServiceError
-
-        try:
-            return fn(args)
-        except QueueFullError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 75
-        except ServiceError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapper
 
 
 def _service_config(args: argparse.Namespace):
@@ -397,7 +349,6 @@ def _print_job(record) -> None:
         print(f"  last error: {record.error}")
 
 
-@_service_errors
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
@@ -414,7 +365,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_submit(args: argparse.Namespace) -> int:
     kwargs = {"days": args.days, "seed": args.seed}
     if args.no_events:
@@ -428,7 +378,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_status(args: argparse.Namespace) -> int:
     with _fleet_client(args) as client:
         if args.ref is not None:
@@ -449,7 +398,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_result(args: argparse.Namespace) -> int:
     import json
 
@@ -533,7 +481,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="two-sided band confidence (default: 0.998)")
         p.add_argument("--json", action="store_true",
                        help="also dump results as JSON")
-        p.add_argument("--coverage", action="store_true",
+        p.add_argument("--coverage", dest="model", action="store_const",
+                       const="coverage", default="reliability",
                        help="use the sensing-level coverage model (data "
                             "corruption, beacon outages, quality-gate "
                             "verdicts) instead of the bus-level model")
@@ -677,7 +626,16 @@ def main(argv: list[str] | None = None) -> int:
     p_res.set_defaults(func=cmd_result)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # One line, no traceback.  A full admission queue exits 75
+        # (EX_TEMPFAIL) so schedulers know to retry; every other
+        # failure -- bad config, unreachable or locked registry -- is 2.
+        from repro.service import QueueFullError
+
+        print(f"repro: {exc}", file=sys.stderr)
+        return 75 if isinstance(exc, QueueFullError) else 2
 
 
 if __name__ == "__main__":

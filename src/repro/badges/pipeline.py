@@ -9,7 +9,6 @@ analytics never see ground truth.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,124 +130,6 @@ def sense_day(
         return _sense_day(truth, day, assignment, models, fleet, rngs, sdcard)
 
 
-def sense_day_badgewise(
-    truth: MissionTruth,
-    day: int,
-    assignment: BadgeAssignment,
-    models: SensingModels,
-    fleet: dict[int, Badge],
-    rngs: RngRegistry,
-    sdcard: SdCardAccountant | None = None,
-) -> tuple[dict[int, BadgeDayObservations], PairwiseDay]:
-    """Legacy per-badge driver kept for one release alongside the wrappers.
-
-    Runs the same synthesis as :func:`sense_day` but through the
-    deprecated batch-of-one model methods, one badge at a time.  Output
-    is bit-identical to the fleet-batched path (the golden test in
-    ``tests/integration/test_batched_equivalence.py`` enforces this);
-    the only reason to call it is to cross-check that invariant.
-    """
-    warnings.warn(
-        "sense_day_badgewise is deprecated; use sense_day",
-        DeprecationWarning, stacklevel=2,
-    )
-    cfg = truth.cfg
-    plan = models.plan
-    wear_model = WearModel(cfg, plan, battery=models.battery)
-    timesync = TimeSyncSimulator(station_xy=wear_model.station_xy)
-    n = cfg.frames_per_day
-    t0 = cfg.daytime_start_s
-    dt = cfg.frame_dt
-    t_abs = (day - 1) * DAY + t0 + np.arange(n) * dt
-    wall_matrix = plan.wall_matrix()
-    noise_floors = np.array(
-        [models.env.noise_floor_db(room.name) for room in plan.rooms]
-    )
-    sources = SpeechSources.from_truth(truth, day)
-
-    mapping = assignment.actual(day)
-    observations: dict[int, BadgeDayObservations] = {}
-    wear_days: dict[int, WearDay] = {}
-
-    for badge_id, astro in sorted(mapping.items()):
-        badge = fleet[badge_id]
-        if not badge.alive_on(day):
-            continue
-        trace = truth.trace(astro, day)
-        rng = rngs.get(badge_day_stream(badge_id, day))
-        wear = wear_model.simulate_day(
-            trace, rng, diligence=truth.roster.profile(astro).wear_diligence
-        )
-        wear_days[badge_id] = wear
-        badge.clock.correct(reference_local=t0, own_local=badge.clock.local_time(t0))
-        clock_errors, sync_events = timesync.run_day(
-            badge.clock, wear.badge_xy, wear.active, t0, dt
-        )
-        ble_rssi = models.ble.scan(
-            plan, models.beacons, wear.badge_xy, wear.badge_room, wear.active, rng
-        )
-        accel = models.accelerometer.synthesize(
-            trace.walking, wear.worn, wear.active, trace.activity, rng
-        )
-        gyro, heading = models.imu.synthesize(trace.walking, wear.worn, wear.active, rng)
-        mic = models.microphone.synthesize(
-            sources, wear.badge_xy, wear.badge_room, wear.active,
-            wall_matrix, noise_floors, rng,
-        )
-        temp, pressure, light = models.env_sensors.synthesize(
-            models.env, plan, wear.badge_room, wear.worn, wear.active, t_abs, rng
-        )
-        bytes_recorded = 0.0
-        if sdcard is not None:
-            bytes_recorded = sdcard.record_day(badge_id, day, float(wear.active.sum()) * dt)
-        observations[badge_id] = BadgeDayObservations(
-            badge_id=badge_id, day=day, t0=t0, dt=dt,
-            active=wear.active, worn=wear.worn,
-            ble_rssi=ble_rssi,
-            accel_rms=accel, gyro_rms=gyro, heading_rad=heading,
-            voice_db=mic.voice_db, dominant_pitch_hz=mic.dominant_pitch_hz,
-            pitch_stability=mic.pitch_stability, sound_db=mic.sound_db,
-            temperature_c=temp, pressure_hpa=pressure, light_lux=light,
-            clock_error_s=clock_errors, sync_events=sync_events,
-            bytes_recorded=bytes_recorded,
-            true_room=wear.badge_room,
-        )
-
-    ref_id = assignment.reference_id
-    ref_rng = rngs.get(badge_day_stream(ref_id, day))
-    ref_active = np.ones(n, dtype=bool)
-    ref_xy = np.tile(np.float32(wear_model.station_xy), (n, 1))
-    ref_room = np.full(n, wear_model.station_room, dtype=np.int8)
-    ref_worn = np.zeros(n, dtype=bool)
-    ref_mic = models.microphone.synthesize(
-        sources, ref_xy, ref_room, ref_active, wall_matrix, noise_floors, ref_rng
-    )
-    ref_temp, ref_pressure, ref_light = models.env_sensors.synthesize(
-        models.env, plan, ref_room, ref_worn, ref_active, t_abs, ref_rng
-    )
-    ref_bytes = (
-        sdcard.record_day(ref_id, day, float(n) * dt) if sdcard is not None else 0.0
-    )
-    observations[ref_id] = BadgeDayObservations(
-        badge_id=ref_id, day=day, t0=t0, dt=dt,
-        active=ref_active, worn=ref_worn,
-        ble_rssi=models.ble.scan(plan, models.beacons, ref_xy, ref_room, ref_active, ref_rng),
-        accel_rms=models.accelerometer.synthesize(
-            np.zeros(n, dtype=bool), ref_worn, ref_active, np.zeros(n, dtype=np.int8), ref_rng
-        ),
-        gyro_rms=np.full(n, 0.01, dtype=np.float32),
-        heading_rad=np.zeros(n, dtype=np.float32),
-        voice_db=ref_mic.voice_db, dominant_pitch_hz=ref_mic.dominant_pitch_hz,
-        pitch_stability=ref_mic.pitch_stability, sound_db=ref_mic.sound_db,
-        temperature_c=ref_temp, pressure_hpa=ref_pressure, light_lux=ref_light,
-        clock_error_s=np.zeros(n), sync_events=[],
-        bytes_recorded=ref_bytes,
-    )
-
-    pairwise = _pairwise_day(truth, day, mapping, wear_days, models, rngs)
-    return observations, pairwise
-
-
 def _sense_day(
     truth: MissionTruth,
     day: int,
@@ -318,7 +199,7 @@ def _sense_day(
     # Phase 2 -- fleet-batched sensor synthesis: inputs are stacked once
     # and each model runs a single batched call over (badges, frames)
     # arrays.  Draws stay per badge on the streams gathered above, so
-    # each badge's row is bit-identical to a batch-of-one wrapper call.
+    # each badge's row is bit-identical to a batch of one.
     if live:
         wear_list = [wear_days[badge_id] for badge_id, _ in live]
         fleet_xy = np.stack([w.badge_xy for w in wear_list])

@@ -40,9 +40,9 @@ class EnvironmentSensors:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Returns ``(temperature_c, pressure_hpa, light_lux)`` per frame.
 
-        NaN wherever the badge is inactive.  Deprecated thin wrapper
-        (batch of 1) around :meth:`synthesize_fleet`; prefer the fleet
-        call when synthesizing several badges.
+        NaN wherever the badge is inactive.  One badge as a batch of
+        one through :meth:`synthesize_fleet`; the sensing pipeline uses
+        it for the always-on reference badge.
         """
         temp, pressure, light = self.synthesize_fleet(
             env, plan, badge_room[None], worn[None], active[None], t_abs, (rng,)

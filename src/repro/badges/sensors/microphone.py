@@ -116,9 +116,8 @@ class MicrophoneModel:
     ) -> MicrophoneOutput:
         """Compute one badge-day of microphone features.
 
-        Deprecated thin wrapper (batch of 1) around
-        :meth:`synthesize_fleet`; prefer the fleet call when synthesizing
-        several badges.
+        One badge as a batch of one through :meth:`synthesize_fleet`;
+        the sensing pipeline uses it for the always-on reference badge.
 
         Args:
             sources: the day's speech sources.

@@ -1,9 +1,12 @@
-"""Queueing policy: seeded-jitter backoff and admission accounting.
+"""Seeded exponential backoff shared by the process-level retry loops.
 
-Pure state machines with no database or event-loop dependency, mirroring
-how :mod:`repro.support.reliable` keeps the bus retry logic independently
-testable.  The registry and service import these; nothing here imports
-them back.
+The mission supervisor's pool respawns (:mod:`repro.exec.supervisor`)
+and the fleet service's job requeues (:mod:`repro.service.service`)
+both back off with this one policy.  The simulated support bus keeps its
+own jitter (:class:`repro.support.reliable.PendingReliable`): that
+draw comes from the simulated network's RNG and feeds byte-reproducible
+reliability reports, so it is part of the model, not an operational
+retry.
 """
 
 from __future__ import annotations
@@ -14,19 +17,19 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 
-#: Jitter multiplier range; matches the supervisor's retry jitter so
-#: requeue storms desynchronize without ever collapsing a delay to zero.
+#: Jitter multiplier range, so retry storms desynchronize without ever
+#: collapsing a delay to zero.
 JITTER_LOW, JITTER_HIGH = 0.5, 1.5
 
 
 @dataclass
 class BackoffPolicy:
-    """Seeded exponential backoff for job requeues.
+    """Seeded exponential backoff.
 
     The delay before attempt ``n`` retries is
     ``base * 2**(n-1) * U(0.5, 1.5)``, capped.  The jitter stream is
-    seeded, so a service restarted with the same seed reproduces the
-    same requeue schedule — chaos tests can assert on timing classes
+    seeded, so a process restarted with the same seed reproduces the
+    same retry schedule — chaos tests can assert on timing classes
     instead of racing them.
     """
 
@@ -49,7 +52,3 @@ class BackoffPolicy:
         exponent = max(0, attempts - 1)
         jitter = float(self._rng.uniform(JITTER_LOW, JITTER_HIGH))
         return min(self.cap_s, self.base_s * (2.0 ** exponent) * jitter)
-
-
-#: Jobs in these states occupy backlog slots for admission control.
-ACTIVE_STATES = ("queued", "failed", "leased", "running")

@@ -18,9 +18,9 @@ per-day work in a supervision loop:
   caller's ``on_outcome`` hook so it reaches the checkpoint journal and
   cache *before* anything else happens — then respawns the pool and
   resubmits only the unfinished days;
-* **seeded-jitter backoff** — respawns back off exponentially with
-  jitter drawn from a seeded RNG (``supervisor_seed``), so retry storms
-  desynchronize reproducibly;
+* **seeded-jitter backoff** — respawns back off through the shared
+  :class:`~repro.core.backoff.BackoffPolicy`, seeded by
+  ``supervisor_seed``, so retry storms desynchronize reproducibly;
 * **bounded degradation** — after ``pool_failure_limit`` consecutive
   pool failures with no salvaged progress the supervisor raises
   :class:`~repro.exec.executor.ExecutorUnavailable` and the mission
@@ -42,8 +42,7 @@ import concurrent.futures as cf
 import time
 from typing import Callable, Optional
 
-import numpy as np
-
+from repro.core.backoff import BackoffPolicy
 from repro.core.config import ExecutionConfig, MissionConfig
 from repro.core.errors import ConfigError
 from repro.exec.executor import (
@@ -66,6 +65,9 @@ log = get_logger("repro.exec.supervisor")
 #: Poll interval of the future-watching loop, seconds.  Small enough
 #: that deadline detection is prompt, large enough to stay off the CPU.
 _POLL_S = 0.02
+
+#: Upper bound on one respawn backoff, seconds.
+_BACKOFF_CAP_S = 5.0
 
 
 class _Wave:
@@ -200,7 +202,8 @@ def run_days_supervised(
     timeouts: dict[int, int] = {}
     to_crash = frozenset(crash_days) & set(pending)
     to_hang = frozenset(hang_days) & set(pending)
-    rng = np.random.default_rng(execution.supervisor_seed)
+    backoff = BackoffPolicy(base_s=execution.retry_backoff_s,
+                            cap_s=_BACKOFF_CAP_S, seed=execution.supervisor_seed)
     pool_failures = 0
     respawns = 0
 
@@ -287,8 +290,7 @@ def run_days_supervised(
                 ).inc(len(pending),
                       reason="timeout" if wave.hung else "pool-broken")
             respawns += 1
-            delay = (execution.retry_backoff_s * (2.0 ** (respawns - 1))
-                     * rng.uniform(0.5, 1.5))
+            delay = backoff.delay_s(respawns)
             if delay > 0:
-                time.sleep(min(delay, 5.0))
+                time.sleep(delay)
     return outcomes

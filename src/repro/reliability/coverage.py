@@ -54,6 +54,7 @@ and the reference-campaign anchor tests pin that claim empirically.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional
 
@@ -62,17 +63,26 @@ import numpy as np
 from repro.core.config import MissionConfig
 from repro.core.units import DAY
 from repro.faults.campaign import FaultCampaign
+from repro.faults.plan import FaultPlan
 from repro.quality.gate import QualityPolicy
+from repro.quality.report import DataQualityReport
 from repro.reliability.ctmc import binomial_quantile
 from repro.reliability.model import (
     DEFAULT_CONFIDENCE,
+    _event_count_checks,
     _normal_quantile,
     expected_event_counts,
 )
-from repro.reliability.prediction import Band, CoveragePrediction
+from repro.reliability.prediction import (
+    Band,
+    CoveragePrediction,
+    ValidationCheck,
+    ValidationResult,
+)
 
 __all__ = [
     "CoverageModel",
+    "compare_quality_report",
     "DEFAULT_ACTIVE_FRACTION",
     "STUCK_MARK_PROB",
     "default_coverage_config",
@@ -148,7 +158,53 @@ class CoverageModel:
     crew size, and instrumented days from it and the event counts and
     severity distributions from the campaign, and mirrors the gate's
     thresholds from :class:`~repro.quality.gate.QualityPolicy` defaults.
+
+    Supplies the same model protocol as
+    :class:`~repro.reliability.model.ReliabilityModel`.
     """
+
+    KIND = "coverage"
+    REGIME_FILE = "coverage-regime"
+    #: Campaign fields the regime search perturbs, in RNG draw order:
+    #: the beacon-outage rate and duration scale as floats, the
+    #: whole-mission counts scale and round to integers (``"count"``).
+    SWEPT = (
+        ("beacon_outages_per_day", 0.25, 8.0, "scale"),
+        ("mean_beacon_outage_s", 0.25, 8.0, "scale"),
+        ("bitrot_days", 0.25, 8.0, "count"),
+        ("truncated_days", 0.25, 8.0, "count"),
+        ("duplicated_days", 0.25, 8.0, "count"),
+        ("stuck_days", 0.25, 8.0, "count"),
+        ("clock_desyncs", 0.25, 8.0, "count"),
+        ("battery_depletions", 0.25, 8.0, "count"),
+    )
+    DRIVERS = (
+        ("coverage", "coverage={:.4f}"),
+        ("expected_quarantined", "quarantined={:.2f}"),
+    )
+
+    reference_campaign = staticmethod(FaultCampaign.coverage_reference)
+    default_config = staticmethod(default_coverage_config)
+
+    @classmethod
+    def for_config(cls, campaign: FaultCampaign,
+                   cfg: MissionConfig) -> "CoverageModel":
+        return cls(campaign, cfg)
+
+    @staticmethod
+    def measure(cfg: MissionConfig, plan: FaultPlan) -> DataQualityReport:
+        """Corrupt a real mission with ``plan`` and gate it."""
+        # Local import: the mission stack is heavy and only the
+        # empirical side needs it.
+        from repro.experiments.mission import run_mission
+
+        mission_cfg = dataclasses.replace(cfg, fault_plan=plan)
+        return run_mission(mission_cfg, quality="gate").quality
+
+    def compare(self, report: DataQualityReport,
+                confidence: float = DEFAULT_CONFIDENCE,
+                plan: Optional[FaultPlan] = None) -> ValidationResult:
+        return compare_quality_report(self, report, confidence, plan=plan)
 
     def __init__(self, campaign: FaultCampaign,
                  cfg: Optional[MissionConfig] = None, *,
@@ -552,3 +608,92 @@ class CoverageModel:
             badness += min(1.0, c.beacon_outages_per_day * c.days * k1
                            / beacon_cols)
         return badness, coverage, quarantined
+
+
+def compare_quality_report(
+    model: CoverageModel,
+    report: DataQualityReport,
+    confidence: float = DEFAULT_CONFIDENCE,
+    plan: Optional[FaultPlan] = None,
+) -> ValidationResult:
+    """Check a measured DataQualityReport against the coverage model.
+
+    Every coverage number the report carries is compared: the verdict
+    counts, the coverage fraction, per-channel masked frames, per-kind
+    repair counts.  Channels or repair kinds the model does not predict
+    get a degenerate ``[0, 0]`` band, so an unmodeled gate response is a
+    failed check, not a silent gap.  With the generated ``plan``, the
+    dead-beacon-day count (a pure function of the plan) and the per-kind
+    event draws are checked too.
+    """
+    prediction = model.predict(confidence)
+    checks: list[ValidationCheck] = []
+
+    exact_days = Band(
+        mean=float(prediction.badge_days),
+        lo=float(prediction.badge_days),
+        hi=float(prediction.badge_days),
+    )
+    value = float(len(report.verdicts))
+    checks.append(ValidationCheck(
+        metric="badge_days", empirical=value,
+        band=exact_days, inside=exact_days.contains(value),
+    ))
+
+    coverage = report.coverage()
+    checks.append(ValidationCheck(
+        metric="coverage", empirical=coverage,
+        band=prediction.coverage,
+        inside=prediction.coverage.contains(coverage),
+    ))
+    for name, value, band in (
+        ("verdicts[ok]", float(report.n_ok), prediction.n_ok),
+        ("verdicts[repaired]", float(report.n_repaired), prediction.n_repaired),
+        ("verdicts[quarantined]", float(report.n_quarantined),
+         prediction.n_quarantined),
+    ):
+        checks.append(ValidationCheck(
+            metric=name, empirical=value, band=band,
+            inside=band.contains(value),
+        ))
+
+    zero = Band(mean=0.0, lo=0.0, hi=0.0)
+    masked = report.masked_by_channel()
+    for channel in sorted(set(prediction.masked_channels) | set(masked)):
+        band = prediction.masked_channels.get(channel, zero)
+        value = float(masked.get(channel, 0))
+        checks.append(ValidationCheck(
+            metric=f"masked[{channel}]", empirical=value, band=band,
+            inside=band.contains(value),
+        ))
+    repairs = report.repairs_total()
+    for kind in sorted(set(prediction.repairs) | set(repairs)):
+        band = prediction.repairs.get(kind, zero)
+        value = float(repairs.get(kind, 0))
+        checks.append(ValidationCheck(
+            metric=f"repairs[{kind}]", empirical=value, band=band,
+            inside=band.contains(value),
+        ))
+
+    if plan is not None:
+        if prediction.dead_beacon_days is not None:
+            cfg = model.cfg
+            dead = float(sum(
+                len(plan.dead_beacons_on_day(
+                    day, cfg.daytime_start_s, cfg.daytime_s
+                ))
+                for day in model.instrumented_days
+            ))
+            band = prediction.dead_beacon_days
+            checks.append(ValidationCheck(
+                metric="dead_beacon_days", empirical=dead, band=band,
+                inside=band.contains(dead),
+            ))
+        checks.extend(_event_count_checks(model.campaign, plan, confidence))
+
+    return ValidationResult(
+        campaign_seed=model.campaign.seed,
+        horizon_s=model.horizon_s,
+        confidence=confidence,
+        checks=tuple(checks),
+    )

@@ -26,17 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from repro.core.config import MissionConfig
 from repro.core.units import DAY, HOUR
 from repro.faults.campaign import FaultCampaign
+from repro.faults.plan import FaultPlan
+from repro.faults.report import ReliabilityReport
 from repro.faults.scenario import (
     BATCH_PERIOD_S,
     FAILOVER_TIMEOUT_S,
     HEARTBEAT_S,
     LINK_LATENCY_S,
     STATUS_PERIOD_S,
+    run_support_scenario,
 )
 from repro.reliability.ctmc import (
     CTMC,
@@ -49,6 +54,8 @@ from repro.reliability.prediction import (
     Band,
     DeliveryPrediction,
     ReliabilityPrediction,
+    ValidationCheck,
+    ValidationResult,
 )
 
 #: The campaign adds a one-second floor to every drawn window duration.
@@ -122,7 +129,65 @@ class ReliabilityModel:
     :class:`~repro.faults.report.ReliabilityReport`'s availability,
     MTTR, and delivery metrics.  Sensing-level classes appear in the
     informational expected-fault table.
+
+    The class attributes and static methods below are the model protocol
+    that :func:`~repro.reliability.search.sweep_regimes` and
+    :func:`~repro.reliability.validate.validate_campaign` drive;
+    :class:`~repro.reliability.coverage.CoverageModel` supplies the same.
     """
+
+    #: Name of the model in CLI output and telemetry.
+    KIND = "reliability"
+    #: Stem of the per-regime artifact files the CLI search writes.
+    REGIME_FILE = "regime"
+    #: Campaign fields the regime search perturbs, in RNG draw order, as
+    #: ``(field, lo, hi, draw)``: ``"scale"`` multiplies the base value by
+    #: a log-uniform factor in ``[lo, hi]``, ``"uniform"`` samples the
+    #: value itself in ``[lo, hi]``.
+    SWEPT = (
+        ("crashes_per_day", 0.25, 8.0, "scale"),
+        ("mean_downtime_s", 0.25, 8.0, "scale"),
+        ("flaps_per_day", 0.25, 8.0, "scale"),
+        ("mean_flap_s", 0.25, 8.0, "scale"),
+        ("lossy_windows_per_day", 0.25, 8.0, "scale"),
+        ("mean_lossy_s", 0.25, 8.0, "scale"),
+        ("blackouts_per_day", 0.25, 8.0, "scale"),
+        ("mean_blackout_s", 0.25, 8.0, "scale"),
+        ("lossy_prob", 0.05, 0.9, "uniform"),
+    )
+    #: Names and text formats of :meth:`score`'s values after badness.
+    DRIVERS = (
+        ("min_availability", "min_avail={:.4f}"),
+        ("delivery_loss", "delivery_loss={:.4f}"),
+    )
+
+    reference_campaign = staticmethod(FaultCampaign.reference)
+
+    @staticmethod
+    def default_config(campaign: FaultCampaign) -> MissionConfig:
+        """The mission config an empirical run of ``campaign`` uses.
+
+        The support scenario only reads days, seed and the Earth-link
+        delay; badges and scripted events play no part, so short
+        campaign horizons must not trip their validation.
+        """
+        return MissionConfig(days=max(1, round(campaign.days)), seed=7,
+                             badges_from_day=1, events=None)
+
+    @classmethod
+    def for_config(cls, campaign: FaultCampaign,
+                   cfg: MissionConfig) -> "ReliabilityModel":
+        return cls(campaign, earth_link_delay_s=cfg.earth_link_delay_s)
+
+    @staticmethod
+    def measure(cfg: MissionConfig, plan: FaultPlan) -> ReliabilityReport:
+        """Run ``plan`` through the real support stack."""
+        return run_support_scenario(cfg, plan)
+
+    def compare(self, report: ReliabilityReport,
+                confidence: float = DEFAULT_CONFIDENCE,
+                plan: Optional[FaultPlan] = None) -> ValidationResult:
+        return compare_report(self, report, confidence, plan=plan)
 
     def __init__(
         self,
@@ -524,6 +589,109 @@ def expected_event_counts(campaign) -> dict[str, tuple[float, bool]]:
         out["data-clock-skew"] = (float(c.clock_desyncs), True)
     out["worker-crash"] = (float(c.worker_crashes), True)
     return {k: v for k, v in out.items() if v[0] > 0.0}
+
+
+def _event_count_checks(
+    campaign: FaultCampaign,
+    plan: FaultPlan,
+    confidence: float,
+) -> list[ValidationCheck]:
+    """Expected-fault table as a *checked* prediction, per kind.
+
+    The whole-mission count parameters (battery, SD-card, worker
+    crashes, the data-corruption kinds) are drawn verbatim, so they must
+    match exactly; the per-day rate classes are Poisson draws and get
+    Poisson bands at the validation confidence.
+    """
+    alpha = 1.0 - confidence
+    actual: dict[str, int] = {}
+    for event in plan.events:
+        actual[event.action] = actual.get(event.action, 0) + 1
+    checks: list[ValidationCheck] = []
+    for kind, (mean, exact) in expected_event_counts(campaign).items():
+        if exact:
+            band = Band(mean=mean, lo=mean, hi=mean)
+        else:
+            band = Band(
+                mean=mean,
+                lo=float(poisson_quantile(alpha / 2.0, mean)),
+                hi=float(poisson_quantile(1.0 - alpha / 2.0, mean)),
+            )
+        value = float(actual.get(EVENT_ACTIONS[kind], 0))
+        checks.append(ValidationCheck(
+            metric=f"events[{kind}]",
+            empirical=value,
+            band=band,
+            inside=band.contains(value),
+        ))
+    return checks
+
+
+def compare_report(
+    model: ReliabilityModel,
+    report: ReliabilityReport,
+    confidence: float = DEFAULT_CONFIDENCE,
+    plan: Optional[FaultPlan] = None,
+) -> ValidationResult:
+    """Check one measured report against the model's bands.
+
+    Pure function of ``(model, report)`` — no simulation, so it can also
+    grade archived reports.  With the generated ``plan``, the expected
+    per-kind fault counts are checked against the actual draws too.
+    """
+    checks: list[ValidationCheck] = []
+
+    for node in sorted(report.availability):
+        band = model.availability_band(node, confidence)
+        value = report.availability[node]
+        checks.append(ValidationCheck(
+            metric=f"availability[{node}]",
+            empirical=value,
+            band=band,
+            inside=band.contains(value),
+        ))
+
+    # MTTR: conditioned on the number of repairs the campaign actually
+    # observed — the band is the sampling distribution of a mean of
+    # n_outages (shifted) exponential repair draws.
+    mttr_band = model.mttr_band(confidence, n_outages=max(1, report.n_outages))
+    if mttr_band is not None:
+        checks.append(ValidationCheck(
+            metric="mttr_s",
+            empirical=report.mttr_s,
+            band=mttr_band,
+            inside=mttr_band.contains(report.mttr_s),
+        ))
+
+    if model.node_chains:
+        outage_band = model.n_outages_band(confidence)
+        total_outages = float(report.n_outages + report.n_censored_outages)
+        checks.append(ValidationCheck(
+            metric="n_outages",
+            empirical=total_outages,
+            band=outage_band,
+            inside=outage_band.contains(total_outages),
+        ))
+
+    for kind in ("submit", "status"):
+        prediction = model.delivery_prediction(kind, confidence)
+        value = report.delivery_success(kind)
+        checks.append(ValidationCheck(
+            metric=f"delivery[{kind}]",
+            empirical=value,
+            band=prediction.success,
+            inside=prediction.success.contains(value),
+        ))
+
+    if plan is not None:
+        checks.extend(_event_count_checks(model.campaign, plan, confidence))
+
+    return ValidationResult(
+        campaign_seed=model.campaign.seed,
+        horizon_s=model.horizon_s,
+        confidence=confidence,
+        checks=tuple(checks),
+    )
 
 
 def _normal_quantile(p: float) -> float:

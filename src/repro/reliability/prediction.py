@@ -311,58 +311,17 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class Regime:
-    """One ranked point of the worst-case search."""
+    """One ranked point of a worst-case search."""
 
     rank: int
     score: float
-    #: Predicted drivers of the score.
-    min_availability: float
-    delivery_loss: float
-    #: The concrete seeded campaign reproducing this regime empirically.
-    campaign: "object"  # FaultCampaign; untyped to avoid an import cycle
-    #: The sampled rate overrides that define the regime.
-    overrides: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        import dataclasses
-
-        return {
-            "rank": self.rank,
-            "score": self.score,
-            "min_availability": self.min_availability,
-            "delivery_loss": self.delivery_loss,
-            "overrides": {k: self.overrides[k] for k in sorted(self.overrides)},
-            "campaign": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in sorted(dataclasses.asdict(self.campaign).items())
-            },
-        }
-
-    def to_text(self) -> str:
-        parts = ", ".join(
-            f"{k}={self.overrides[k]:.4g}" for k in sorted(self.overrides)
-        )
-        return (
-            f"#{self.rank} score={self.score:.4f} "
-            f"min_avail={self.min_availability:.4f} "
-            f"delivery_loss={self.delivery_loss:.4f} "
-            f"seed={self.campaign.seed} [{parts}]"
-        )
-
-
-@dataclass(frozen=True)
-class CoverageRegime:
-    """One ranked point of the worst-*coverage* search."""
-
-    rank: int
-    score: float
-    #: Predicted drivers of the score.
-    coverage: float
-    expected_quarantined: float
     #: The concrete seeded campaign reproducing this regime empirically.
     campaign: "object"  # FaultCampaign; untyped to avoid an import cycle
     #: The sampled overrides that define the regime.
     overrides: dict[str, float] = field(default_factory=dict)
+    #: Predicted drivers of the score as ``(name, text format, value)``,
+    #: in the order of the scoring model's ``DRIVERS``.
+    drivers: tuple[tuple[str, str, float], ...] = ()
 
     def to_dict(self) -> dict:
         import dataclasses
@@ -370,8 +329,7 @@ class CoverageRegime:
         return {
             "rank": self.rank,
             "score": self.score,
-            "coverage": self.coverage,
-            "expected_quarantined": self.expected_quarantined,
+            **{name: value for name, _, value in self.drivers},
             "overrides": {k: self.overrides[k] for k in sorted(self.overrides)},
             "campaign": {
                 k: (list(v) if isinstance(v, tuple) else v)
@@ -380,12 +338,11 @@ class CoverageRegime:
         }
 
     def to_text(self) -> str:
+        drivers = " ".join(fmt.format(value) for _, fmt, value in self.drivers)
         parts = ", ".join(
             f"{k}={self.overrides[k]:.4g}" for k in sorted(self.overrides)
         )
         return (
-            f"#{self.rank} score={self.score:.4f} "
-            f"coverage={self.coverage:.4f} "
-            f"quarantined={self.expected_quarantined:.2f} "
+            f"#{self.rank} score={self.score:.4f} {drivers} "
             f"seed={self.campaign.seed} [{parts}]"
         )

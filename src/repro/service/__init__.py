@@ -12,8 +12,6 @@ Layering (each module depends only on those above it):
 - :mod:`repro.service.errors` — the :class:`ServiceError` family;
 - :mod:`repro.service.config` — :class:`ServiceConfig`, the service
   home directory layout;
-- :mod:`repro.service.queue` — seeded-jitter :class:`BackoffPolicy`
-  and admission accounting (pure state machines);
 - :mod:`repro.service.registry` — :class:`MissionRegistry`, the durable
   WAL-journaled job store with the monotonic ``queued → leased →
   running → done|failed|dead`` state machine, lease protocol, and
@@ -45,12 +43,10 @@ from repro.service.errors import (
     StateTransitionError,
     UnknownJobError,
 )
-from repro.service.queue import BackoffPolicy
 from repro.service.registry import JobRecord, MissionRegistry
 from repro.service.service import FleetService, ServiceChaos, serve
 
 __all__ = [
-    "BackoffPolicy",
     "DEFAULT_QUEUE_DEPTH",
     "FleetClient",
     "FleetService",

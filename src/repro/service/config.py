@@ -44,8 +44,9 @@ class ServiceConfig:
         max_attempts: per-job retry budget — lease acquisitions,
             including post-crash re-leases — before the job moves to
             the dead-letter table instead of requeueing.
-        retry_backoff_s: base of the exponential requeue backoff.
-        backoff_cap_s: upper bound on one backoff delay.
+        retry_backoff_s: base of the exponential requeue backoff
+            (:class:`~repro.core.backoff.BackoffPolicy`, capped at its
+            default 30 s).
         backoff_seed: seed of the jitter RNG so retry schedules are
             reproducible.
         job_timeout_s: optional per-job wall-clock deadline; a job
@@ -63,7 +64,6 @@ class ServiceConfig:
     heartbeat_s: Optional[float] = None
     max_attempts: int = 3
     retry_backoff_s: float = 0.25
-    backoff_cap_s: float = 30.0
     backoff_seed: int = 0
     job_timeout_s: Optional[float] = None
     poll_s: float = 0.05
@@ -84,8 +84,6 @@ class ServiceConfig:
             raise ConfigError("max_attempts must be >= 1")
         if self.retry_backoff_s < 0:
             raise ConfigError("retry_backoff_s must be >= 0")
-        if self.backoff_cap_s <= 0:
-            raise ConfigError("backoff_cap_s must be positive")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ConfigError("job_timeout_s must be positive or None")
         if self.poll_s <= 0:

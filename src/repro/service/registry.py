@@ -53,7 +53,6 @@ from repro.service.errors import (
     StateTransitionError,
     UnknownJobError,
 )
-from repro.service.queue import ACTIVE_STATES
 
 log = get_logger("repro.service.registry")
 
@@ -68,6 +67,9 @@ VALID_TRANSITIONS = {
 }
 
 TERMINAL_STATES = ("done", "dead")
+
+#: Jobs in these states occupy backlog slots for admission control.
+ACTIVE_STATES = ("queued", "failed", "leased", "running")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (

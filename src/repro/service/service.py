@@ -35,6 +35,7 @@ import socket
 import time
 from typing import Optional
 
+from repro.core.backoff import BackoffPolicy
 from repro.exec.checkpoint import JournalBusyError
 from repro.faults.service import ServiceChaos
 from repro.obs import _state as _obs
@@ -42,7 +43,6 @@ from repro.obs import get_logger
 from repro.obs import metrics as _metrics
 from repro.service import worker as worker_mod
 from repro.service.config import ServiceConfig
-from repro.service.queue import BackoffPolicy
 from repro.service.registry import JobRecord, MissionRegistry
 
 log = get_logger("repro.service")
@@ -58,8 +58,7 @@ class FleetService:
         self.owner = f"{socket.gethostname()}:{os.getpid()}"
         self.registry: Optional[MissionRegistry] = None
         self._backoff = BackoffPolicy(
-            base_s=config.retry_backoff_s, cap_s=config.backoff_cap_s,
-            seed=config.backoff_seed)
+            base_s=config.retry_backoff_s, seed=config.backoff_seed)
         self._queue: Optional[asyncio.Queue] = None
         self._stop = asyncio.Event()
         #: Leased jobs sitting in the asyncio queue (scheduler keeps

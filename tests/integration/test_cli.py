@@ -124,3 +124,24 @@ class TestReliabilityCli:
             assert "prediction" in payload
         regimes = json.loads(out[out.rindex("\n["):])
         assert [r["rank"] for r in regimes] == [1, 2]
+
+    @pytest.mark.parametrize("command", ["predict", "search"])
+    @pytest.mark.parametrize("coverage", [[], ["--coverage"]])
+    def test_one_day_horizon_runs(self, capsys, command, coverage):
+        # The models handle a 1-day horizon; the CLI must not trip the
+        # mission config's badges-from-day-2 default on the way there.
+        args = ["reliability", command, "--days", "1", *coverage]
+        if command == "search":
+            args += ["--regimes", "4", "--top", "1"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestCliErrors:
+    def test_bad_config_is_one_line_exit_2(self, capsys):
+        assert main(["run", "--days", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: ")
+        assert "Traceback" not in captured.err

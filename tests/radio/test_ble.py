@@ -8,11 +8,6 @@ from repro.habitat.beacons import place_beacons
 from repro.habitat.floorplan import lunares_floorplan
 from repro.radio.ble import BleScanModel
 
-# The batch-of-1 wrapper is deprecated but kept for one release; these
-# tests exercise it deliberately (test_scan_wrapper_is_deprecated pins
-# the warning itself).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(scope="module")
 def plan():
@@ -30,7 +25,15 @@ def kitchen_scan(plan, beacons, frames=500, detection_prob=0.93, seed=0):
     rooms = np.full(frames, kitchen.index, dtype=np.int8)
     active = np.ones(frames, dtype=bool)
     model = BleScanModel(detection_prob=detection_prob)
-    return model.scan(plan, beacons, xy, rooms, active, np.random.default_rng(seed))
+    return scan_one(model, plan, beacons, xy, rooms, active, seed)
+
+
+def scan_one(model, plan, beacons, xy, rooms, active, seed=0):
+    """One badge's scans: a batch of one through ``scan_fleet``."""
+    return model.scan_fleet(
+        plan, beacons, xy[None], rooms[None], active[None],
+        (np.random.default_rng(seed),),
+    )[0]
 
 
 class TestScan:
@@ -63,14 +66,14 @@ class TestScan:
         xy = np.tile(np.array(kitchen.rect.center), (10, 1))
         rooms = np.full(10, kitchen.index, dtype=np.int8)
         active = np.zeros(10, dtype=bool)
-        rssi = BleScanModel().scan(plan, beacons, xy, rooms, active, np.random.default_rng(0))
+        rssi = scan_one(BleScanModel(), plan, beacons, xy, rooms, active)
         assert np.isnan(rssi).all()
 
     def test_nan_positions_empty(self, plan, beacons):
         xy = np.full((10, 2), np.nan)
         rooms = np.full(10, -1, dtype=np.int8)
         active = np.ones(10, dtype=bool)
-        rssi = BleScanModel().scan(plan, beacons, xy, rooms, active, np.random.default_rng(0))
+        rssi = scan_one(BleScanModel(), plan, beacons, xy, rooms, active)
         assert np.isnan(rssi).all()
 
     def test_detection_prob_controls_misses(self, plan, beacons):
@@ -85,13 +88,3 @@ class TestScan:
     def test_invalid_detection_prob(self):
         with pytest.raises(ConfigError):
             BleScanModel(detection_prob=0.0)
-
-    def test_scan_wrapper_is_deprecated(self, plan, beacons):
-        kitchen = plan.room("kitchen")
-        xy = np.tile(np.array(kitchen.rect.center), (10, 1))
-        rooms = np.full(10, kitchen.index, dtype=np.int8)
-        active = np.ones(10, dtype=bool)
-        with pytest.warns(DeprecationWarning, match="scan_fleet"):
-            BleScanModel().scan(
-                plan, beacons, xy, rooms, active, np.random.default_rng(0)
-            )

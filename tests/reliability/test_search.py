@@ -6,11 +6,8 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
-from repro.reliability.search import (
-    SWEPT_FIELDS,
-    sweep_regimes,
-    worst_case_campaigns,
-)
+from repro.reliability import ReliabilityModel
+from repro.reliability.search import sweep_regimes, worst_case_campaigns
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +30,13 @@ class TestSweep:
 
     def test_overrides_within_sampled_ranges(self, base):
         for regime in sweep_regimes(base, n_regimes=16, seed=1, top_k=16):
-            for name, (lo, hi) in SWEPT_FIELDS.items():
+            for name, lo, hi, draw in ReliabilityModel.SWEPT:
                 value = regime.overrides[name]
-                baseline = float(getattr(base, name))
-                assert lo * baseline <= value <= hi * baseline
+                if draw == "uniform":
+                    assert lo <= value <= hi
+                else:
+                    baseline = float(getattr(base, name))
+                    assert lo * baseline <= value <= hi * baseline
             assert 0.05 <= regime.overrides["lossy_prob"] <= 0.9
             # The emitted campaign actually carries the overrides.
             for name, value in regime.overrides.items():

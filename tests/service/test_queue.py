@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.core.backoff import JITTER_HIGH, JITTER_LOW, BackoffPolicy
 from repro.core.errors import ConfigError
-from repro.service import BackoffPolicy
-from repro.service.queue import JITTER_HIGH, JITTER_LOW
 
 
 class TestBackoffPolicy:
