@@ -44,16 +44,11 @@ def _add_mission_args(parser: argparse.ArgumentParser) -> None:
                              "one worker per core otherwise; results are "
                              "identical either way)")
     parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="content-addressed result cache directory "
-                             "(reruns with an unchanged config load from it)")
-    parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="crash-recovery checkpoint journal directory: "
-                             "each completed day is persisted as it finishes")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore completed days from the checkpoint "
-                             "journal and execute only the remainder "
-                             "(requires --checkpoint; bit-identical to an "
-                             "uninterrupted run)")
+                        help="content-addressed mission store: each completed "
+                             "day is persisted as it finishes, and a rerun "
+                             "(or a killed run started again) serves the "
+                             "stored days and computes only the rest, "
+                             "bit-identical to an uninterrupted run")
     parser.add_argument("--quality", default="auto",
                         choices=("auto", "off", "gate", "strict"),
                         help="validating ingest gate: 'auto' (default) gates "
@@ -71,18 +66,15 @@ def _config(args: argparse.Namespace) -> MissionConfig:
 
 def _execution(args: argparse.Namespace) -> ExecutionConfig:
     workers = args.workers if args.workers in ("serial", "auto") else int(args.workers)
-    return ExecutionConfig(n_workers=workers, cache_dir=args.cache,
-                           checkpoint_dir=args.checkpoint, resume=args.resume)
+    return ExecutionConfig(n_workers=workers, cache_dir=args.cache)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     result = run_mission(_config(args), execution=_execution(args),
                          quality=args.quality)
-    checkpoint = (result.cache_stats or {}).get("checkpoint")
-    if checkpoint is not None and checkpoint["resumed_days"]:
-        days = ", ".join(str(d) for d in checkpoint["resumed_days"])
-        print(f"resumed {len(checkpoint['resumed_days'])} day(s) from "
-              f"checkpoint: {days}")
+    served = result.cache_stats["hits"]["day"] if result.cache_stats else 0
+    if served:
+        print(f"resumed {served} day(s) from checkpoint {args.cache}")
         print()
     print(build_table1(result))
     print()
@@ -550,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     def _add_service_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--service", required=True, metavar="DIR",
                        help="fleet service home directory (holds the durable "
-                            "registry, shared cache, journals, and results)")
+                            "registry, shared store, and results)")
 
     def _add_serve_args(p: argparse.ArgumentParser) -> None:
         _add_service_arg(p)

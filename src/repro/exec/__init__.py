@@ -9,12 +9,12 @@ computes — lives here:
 - :mod:`repro.exec.supervisor` — the production fan-out: per-day
   deadlines, seeded-jitter retries, broken-pool recovery with salvage,
   bounded degradation to serial;
-- :mod:`repro.exec.checkpoint` — crash-recovery journal of completed
-  days; ``ExecutionConfig(resume=True)`` restores them bit-identically;
-- :mod:`repro.exec.cache` — content-addressed on-disk cache of ground
-  truth and badge-day summaries;
+- :mod:`repro.exec.cache` — the content-addressed on-disk day store of
+  ground truth and day outcomes; each day is written as it completes,
+  so a rerun against the same store resumes a killed run bit-identically;
+- :mod:`repro.exec.checkpoint` — the store's per-key writer lease;
 - :mod:`repro.exec.integrity` — checksummed atomic artifacts and the
-  quarantine policy shared by the cache and the journal;
+  quarantine policy the store and the service results share;
 - :mod:`repro.exec.hashing` — the stable config fingerprints the cache
   keys on.
 
@@ -27,9 +27,7 @@ Callers select execution behaviour with a frozen
         MissionConfig(days=14),
         execution=ExecutionConfig(
             n_workers=4,
-            cache_dir=".mission-cache",
-            checkpoint_dir=".mission-checkpoint",
-            resume=True,
+            cache_dir=".mission-cache",  # a rerun resumes from it
         ),
     )
 """

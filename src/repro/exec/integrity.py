@@ -1,7 +1,8 @@
 """End-to-end artifact integrity: checksums, verification, quarantine.
 
-Every on-disk artifact the execution engine produces — cache entries and
-checkpoint-journal records alike — goes through this module.  The paper's
+Every on-disk artifact the execution engine produces — stored truth and
+day outcomes (which double as crash-recovery checkpoints) and service
+results alike — goes through this module.  The paper's
 own deployment lost data to silently failing storage (dead batteries,
 full SD cards); an unattended million-mission sweep cannot afford to
 *trust* bytes it reads back off disk, so artifacts are:

@@ -7,11 +7,10 @@ mission stays comfortably in memory.
 
 Execution is delegated to :mod:`repro.exec`: an
 :class:`~repro.core.config.ExecutionConfig` selects serial or supervised
-process-pool execution of the per-day work (bit-identical either way),
-an optional content-addressed cache that persists ground truth and
-badge-day summaries between runs, and an optional crash-recovery
-checkpoint journal (``checkpoint_dir`` / ``resume=True``) that makes a
-killed run resumable without recomputing completed days.  Missions with
+process-pool execution of the per-day work (bit-identical either way)
+and an optional content-addressed store that persists ground truth and
+day outcomes as they complete, so a rerun — or a killed run started
+again — serves the stored days instead of recomputing them.  Missions with
 *sensing*-level faults always run serially — SD-card capacity faults
 couple days through the cumulative write budget (see
 :mod:`repro.exec.executor`); bus-level and executor-level faults do not
@@ -22,7 +21,7 @@ never silent.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,8 +130,7 @@ class MissionResult:
             f"{len(self.sensing.summaries)} badge-days, "
             f"{self.sdcard.total_gib():.1f} GiB recorded",
         ]
-        if (self.execution.parallel or self.execution.cache_active
-                or self.execution.checkpoint_active):
+        if self.execution.parallel or self.execution.cache_active:
             stats = self.cache_stats or {}
             cache = "off" if "hits" not in stats else (
                 f"{stats['hits']['day']} day hits, "
@@ -141,16 +139,6 @@ class MissionResult:
             lines.append(
                 f"execution: {self.execution.worker_count} worker(s), cache {cache}"
             )
-            checkpoint = stats.get("checkpoint")
-            if checkpoint is not None:
-                resumed = checkpoint["resumed_days"]
-                lines.append(
-                    f"checkpoint: {checkpoint['recorded']} day(s) journaled, "
-                    f"{len(resumed)} resumed"
-                    + (f" ({', '.join(map(str, resumed))})" if resumed else "")
-                    + (f", {checkpoint['quarantined']} quarantined"
-                       if checkpoint["quarantined"] else "")
-                )
         if self.quality is not None:
             lines.append("")
             lines.append(self.quality.to_text())
@@ -183,10 +171,10 @@ def run_mission(
             ``cfg`` on the truth-stage fields).
         localizer: override the localization pipeline (ablations).
         models: override the sensing models (ablations).
-        execution: how to run — worker count, cache, checkpoint journal
+        execution: how to run — worker count and store
             (:class:`~repro.core.config.ExecutionConfig`; defaults to
-            serial, uncached, unjournaled).  Never affects results, only
-            speed and crash-safety.
+            serial, no store).  Never affects results, only speed and
+            crash-safety.
         quality: ingest-gate mode — ``"auto"`` gates only when the fault
             plan injects data corruption, ``"gate"`` always gates,
             ``"strict"`` gates and raises on any quarantine, ``"off"``
@@ -220,67 +208,46 @@ def run_mission(
             for badge_id, cap in plan.sdcard_caps().items():
                 sdcard.set_capacity(badge_id, cap)
 
-        # Day summaries are cacheable/journalable only for the default
-        # sensing stack: custom models/localizers are not part of the
-        # artifact keys, so persisting their outcomes would poison later
-        # default-stack runs of the same config.
+        # Day outcomes are stored only for the default sensing stack:
+        # custom models/localizers are not part of the artifact keys, so
+        # persisting their outcomes would poison later default-stack runs
+        # of the same config.
         day_cache = cache if cache is not None and default_stack else None
-        # The journal lease is exclusive: two processes resuming the same
-        # sensing fingerprint would interleave writes, so the second one
-        # gets a clean JournalBusyError here instead.
-        journal = (
-            CheckpointJournal(execution.checkpoint_dir, cfg, exclusive=True,
-                              owner="run_mission")
-            if execution.checkpoint_active and default_stack else None
-        )
-        if execution.checkpoint_active and not default_stack:
-            log.warning("checkpoint-disabled",
-                        reason="custom models/localizer are not part of the journal key")
+        outcomes: dict[int, DayOutcome] = {}
+        if day_cache is not None:
+            for day in cfg.instrumented_days:
+                hit = day_cache.load_day(cfg, day)
+                if hit is not None:
+                    outcomes[day] = hit
+            if outcomes:
+                log.info("store-resumed", days=sorted(outcomes),
+                         store=str(day_cache.day_dir(cfg)))
+        missing = [d for d in cfg.instrumented_days if d not in outcomes]
 
-        try:
-            outcomes: dict[int, DayOutcome] = {}
-            if journal is not None and execution.resume:
-                outcomes.update(journal.load_completed(cfg.instrumented_days))
-            if day_cache is not None:
-                for day in cfg.instrumented_days:
-                    if day in outcomes:
-                        continue
-                    hit = day_cache.load_day(cfg, day)
-                    if hit is not None:
-                        outcomes[day] = hit
-            missing = [d for d in cfg.instrumented_days if d not in outcomes]
-
-            def persist(outcome: DayOutcome) -> None:
-                # Called the moment a day completes — serially, from the
-                # supervisor's harvest, or salvaged out of a broken pool —
-                # so a later crash can resume past it.  Worker telemetry is
-                # transient and never persisted.
-                stored = (
-                    dataclasses.replace(outcome, telemetry=None)
-                    if outcome.telemetry is not None else outcome
-                )
-                if journal is not None:
-                    journal.record(stored)
-                if day_cache is not None:
-                    day_cache.store_day(cfg, stored)
-
+        # A stored day is already a checkpoint, so only a run with days
+        # left to write takes the key's writer lease (a fully stored
+        # mission replays without locking).  Each day is stored the
+        # moment it completes — serially, from the supervisor's harvest,
+        # or salvaged out of a broken pool — so a later crash resumes
+        # past it; a second live writer gets a clean JournalBusyError.
+        lease = (CheckpointJournal(day_cache, cfg, owner="run_mission")
+                 if day_cache is not None and missing else None)
+        with lease or contextlib.nullcontext():
             _compute_missing_days(
                 cfg, truth, assignment, models, localizer, fleet, rngs, sdcard,
-                plan, missing, outcomes, execution, persist,
+                plan, missing, outcomes, execution,
+                lease.record if lease is not None else lambda outcome: None,
             )
 
-            for day in cfg.instrumented_days:
-                outcome = outcomes[day]
-                for badge_id, summary in outcome.summaries.items():
-                    sensing.summaries[(badge_id, day)] = summary
-                sensing.pairwise[day] = outcome.pairwise
-                outcome.telemetry = None  # merged already; don't retain snapshots
-        finally:
-            if journal is not None:
-                journal.close()
+        for day in cfg.instrumented_days:
+            outcome = outcomes[day]
+            for badge_id, summary in outcome.summaries.items():
+                sensing.summaries[(badge_id, day)] = summary
+            sensing.pairwise[day] = outcome.pairwise
+            outcome.telemetry = None  # merged already; don't retain snapshots
 
         # Data corruption strikes the assembled dataset — after the
-        # per-day pipeline (so cached/journaled outcomes stay pristine)
+        # per-day pipeline (so stored outcomes stay pristine)
         # and before the quality gate sees it.
         has_data_faults = plan is not None and bool(plan.data_events())
         if has_data_faults:
@@ -295,9 +262,6 @@ def run_mission(
 
     telemetry = obs_export.to_dict() if obs_enabled() else None
     cache_stats = cache.stats() if cache is not None else None
-    if journal is not None:
-        cache_stats = dict(cache_stats) if cache_stats is not None else {}
-        cache_stats["checkpoint"] = journal.stats()
     return MissionResult(
         cfg=cfg, truth=truth, sensing=sensing, models=models,
         sdcard=sdcard, telemetry=telemetry, reliability=reliability,

@@ -17,7 +17,7 @@ Layering (each module depends only on those above it):
   running → done|failed|dead`` state machine, lease protocol, and
   dead-letter table;
 - :mod:`repro.service.worker` — one leased job through the mission
-  engine, resuming from its checkpoint journal;
+  engine, resuming from the days already in the shared store;
 - :mod:`repro.service.service` — :class:`FleetService`, the supervised
   asyncio loop (scheduler, workers, heartbeats, recovery, probes);
 - :mod:`repro.service.client` — :class:`FleetClient`, the thin

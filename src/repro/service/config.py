@@ -2,9 +2,10 @@
 
 One :class:`ServiceConfig` describes a service *home*: a directory
 holding the durable registry database plus the stores every worker
-shares — the content-addressed mission cache, the per-fingerprint
-checkpoint journals, and the result artifacts.  Everything a restart
-needs to recover in-flight work lives under this one root.
+shares — the content-addressed mission store (whose stored days are
+also the checkpoints a re-leased job resumes from) and the result
+artifacts.  Everything a restart needs to recover in-flight work lives
+under this one root.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ class ServiceConfig:
     """How a fleet service runs — never what its missions compute.
 
     Attributes:
-        root: service home directory (registry DB, cache, journals,
-            results all live under it; created on demand).
+        root: service home directory (registry DB, store, and results
+            all live under it; created on demand).
         n_workers: concurrent mission workers (asyncio tasks, each
             running its leased mission in a thread).
         queue_depth: admission bound on the backlog; a submission that
@@ -104,10 +105,6 @@ class ServiceConfig:
     @property
     def cache_dir(self) -> Path:
         return self.root_path / "cache"
-
-    @property
-    def journal_dir(self) -> Path:
-        return self.root_path / "journal"
 
     @property
     def results_dir(self) -> Path:

@@ -422,22 +422,27 @@ class MissionRegistry:
             return self._fail_locked(cur, job_id, src, attempts, budget,
                                      error, now, backoff_s)
 
-    def release(self, job_id: str, token: str, now: float) -> bool:
-        """``leased → queued`` without charging the budget.
+    def release(self, job_id: str, token: str, now: float, *,
+                backoff_s: float = 0.0) -> bool:
+        """``leased|running → queued`` without charging the budget.
 
-        Graceful-shutdown path for leases whose work never started; the
-        attempt charged at lease time is refunded.
+        For attempts whose work never ran: leases nobody started at
+        graceful shutdown, and jobs whose store key another live worker
+        holds (due again after ``backoff_s``).  The attempt charged at
+        lease time is refunded.
         """
         with self._tx() as cur:
+            row = cur.execute(
+                "SELECT state FROM jobs WHERE job_id=? AND lease_token=?"
+                " AND state IN ('leased','running')", (job_id, token)).fetchone()
+            if row is None:
+                return False
             cur.execute(
                 "UPDATE jobs SET state='queued', attempts = attempts - 1,"
                 " lease_token=NULL, lease_owner=NULL, lease_pid=NULL,"
                 " leased_at=NULL, lease_deadline=NULL, not_before=? "
-                "WHERE job_id=? AND lease_token=? AND state='leased'",
-                (now, job_id, token))
-            if cur.rowcount != 1:
-                return False
-            self._log_transition(cur, job_id, now, "leased", "queued", "released")
+                "WHERE job_id=?", (now + backoff_s, job_id))
+            self._log_transition(cur, job_id, now, row[0], "queued", "released")
             return True
 
     def recover_expired(self, *, now: float,

@@ -17,13 +17,15 @@
   exponential backoff (dead-lettering past the retry budget), refreshes
   the health probe, and exports the ``service.*`` telemetry.
 
-Crash recovery is a property of the registry + journal, not of this
+Crash recovery is a property of the registry + store, not of this
 loop: on startup the service requeues every lease whose owning process
 died (``kill -9`` leaves them mid-flight), and each re-leased job
-*resumes* from its checkpoint journal.  A stale worker that somehow
-survives cannot double-acknowledge (lease tokens) or interleave
-checkpoint writes (journal lease) — exactly-once execution per
-fingerprint holds across restarts.
+*resumes* from the days already in the shared store.  A stale worker
+that somehow survives cannot double-acknowledge (lease tokens) or
+interleave day writes (the store's per-key writer lease) — exactly-once
+execution per fingerprint holds across restarts.  A job that finds its
+store key held by another live worker never ran, so it is requeued
+after backoff with its attempt refunded rather than failed.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class FleetService:
         self._awaiting: dict[str, JobRecord] = {}
         self.stats = {
             "completed": 0, "failed": 0, "dead": 0, "requeued": 0,
-            "recovered_on_start": 0, "lease_lost": 0, "journal_busy": 0,
+            "recovered_on_start": 0, "lease_lost": 0, "store_busy": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -80,7 +82,7 @@ class FleetService:
         """Serve until stopped — or, with ``drain=True``, until the
         registry holds no runnable work.  Returns the run's stats."""
         cfg = self.config
-        for path in (cfg.cache_dir, cfg.journal_dir, cfg.results_dir):
+        for path in (cfg.cache_dir, cfg.results_dir):
             path.mkdir(parents=True, exist_ok=True)
         self.registry = MissionRegistry.open(cfg.db_path, create=True)
         self.registry.set_meta(
@@ -196,11 +198,9 @@ class FleetService:
             try:
                 path, digest = await asyncio.to_thread(
                     worker_mod.execute_job, job,
-                    cache_dir=cfg.cache_dir, journal_dir=cfg.journal_dir,
-                    results_dir=cfg.results_dir)
+                    cache_dir=cfg.cache_dir, results_dir=cfg.results_dir)
             except JournalBusyError as exc:
-                self.stats["journal_busy"] += 1
-                self._fail(job, f"journal-busy: {exc}")
+                self._collided(job, exc)
             except Exception as exc:  # noqa: BLE001 — any job error is a job failure
                 self._fail(job, f"{type(exc).__name__}: {exc}")
             else:
@@ -220,6 +220,18 @@ class FleetService:
                     log.warning("stale-completion-rejected", job_id=job.job_id)
             finally:
                 beat.cancel()
+
+    def _collided(self, job: JobRecord, exc: JournalBusyError) -> None:
+        """Another live worker holds this job's store key: the attempt
+        never ran, so requeue it after backoff with the attempt refunded
+        (a collision must not walk the job to the dead-letter table)."""
+        self.stats["store_busy"] += 1
+        backoff_s = self._backoff.delay_s(job.attempts)
+        if not self.registry.release(job.job_id, job.lease_token,
+                                     time.time(), backoff_s=backoff_s):
+            self.stats["lease_lost"] += 1
+        log.warning("store-lease-collision", job_id=job.job_id,
+                    error=str(exc), backoff_s=backoff_s)
 
     def _fail(self, job: JobRecord, error: str) -> None:
         outcome = self.registry.fail(

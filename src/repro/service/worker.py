@@ -1,17 +1,18 @@
 """Job execution: one leased submission through the mission engine.
 
 A worker reconstructs the submitted :class:`MissionConfig`, runs it with
-the service's *shared* content-addressed cache and per-fingerprint
-checkpoint journal, and persists a canonical result artifact.  The
-execution layers compose into the service's exactly-once story:
+the service's *shared* content-addressed mission store, and persists a
+canonical result artifact.  The execution layers compose into the
+service's exactly-once story:
 
-* the checkpoint journal makes a re-leased job **resume** — days the
-  killed incarnation completed are restored bit-identically, never
-  recomputed (``repro.exec.checkpoint``);
-* the journal's exclusive lease turns concurrent execution of one
-  fingerprint — a stale worker racing its requeued twin — into a clean
+* every completed day lands in the store as it finishes, so a re-leased
+  job **resumes** — days the killed incarnation completed are served
+  bit-identically, never recomputed (``repro.exec.checkpoint``);
+* the store's per-key writer lease turns concurrent computation of one
+  sensing key — a stale worker racing its requeued twin, or two
+  submissions that differ only in ``quality`` — into a clean
   :class:`~repro.exec.checkpoint.JournalBusyError`, which the service
-  treats as a retryable collision;
+  requeues without charging the retry budget;
 * the result artifact is content-addressed by the submission
   fingerprint and checksummed (``repro.exec.integrity``), and its
   digest covers only mission *content* (summaries, pairwise data,
@@ -59,26 +60,21 @@ def result_payload(result, fingerprint: str) -> dict:
     }
 
 
-def execute_job(job: "JobRecord", *, cache_dir: Path, journal_dir: Path,
+def execute_job(job: "JobRecord", *, cache_dir: Path,
                 results_dir: Path) -> tuple[str, str]:
     """Run one leased job to completion; returns ``(path, digest)``.
 
-    Always resumes: with the shared journal, a job re-leased after a
-    service ``kill -9`` restores every day its previous incarnation
-    already completed, and only computes the remainder.
+    Always resumes: with the shared store, a job re-leased after a
+    service ``kill -9`` is served every day its previous incarnation
+    already stored, and only computes the remainder.
 
     Raises:
-        JournalBusyError: another live process is executing this
-            fingerprint right now (retryable — requeue with backoff).
+        JournalBusyError: another live process is computing this
+            sensing key right now (retryable — requeue with backoff).
         ConfigError: the stored submission does not deserialize.
     """
     cfg = config_from_dict(job.config)
-    execution = ExecutionConfig(
-        n_workers="serial",
-        cache_dir=str(cache_dir),
-        checkpoint_dir=str(journal_dir),
-        resume=True,
-    )
+    execution = ExecutionConfig(n_workers="serial", cache_dir=str(cache_dir))
     result = run_mission(cfg, execution=execution, quality=job.quality)
     path = Path(results_dir) / f"{job.fingerprint}.pkl"
     digest = integrity.write_artifact(

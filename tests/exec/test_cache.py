@@ -43,9 +43,12 @@ class TestRunMissionCaching:
         assert _summaries_bytes(cold) == _summaries_bytes(warm)
         assert cold.sdcard.total_gib() == warm.sdcard.total_gib()
 
-    def test_disabled_cache_never_touches_disk(self, small_cfg, tmp_path):
-        execution = ExecutionConfig(cache_dir=str(tmp_path), cache_enabled=False)
-        result = run_mission(small_cfg, execution=execution)
+    def test_disabled_cache_never_touches_disk(self, small_cfg, tmp_path,
+                                               monkeypatch):
+        """``cache_dir=None`` is the only off switch: nothing is written,
+        not even relative to the working directory."""
+        monkeypatch.chdir(tmp_path)
+        result = run_mission(small_cfg, execution=ExecutionConfig(cache_dir=None))
         assert result.cache_stats is None
         assert list(tmp_path.iterdir()) == []
 

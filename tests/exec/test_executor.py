@@ -145,10 +145,14 @@ class TestExecutionConfig:
         with pytest.raises(ConfigError):
             ExecutionConfig(cache_dir="")
 
-    def test_cache_enabled_switch(self, tmp_path):
+    def test_cache_dir_is_the_only_switch(self, tmp_path):
+        """The store has one switch, ``cache_dir``; no other field selects
+        whether it (or its days, the crash checkpoint) is used."""
         assert ExecutionConfig(cache_dir=str(tmp_path)).cache_active
-        assert not ExecutionConfig(cache_dir=str(tmp_path),
-                                   cache_enabled=False).cache_active
+        assert not ExecutionConfig(cache_dir=None).cache_active
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "n_workers", "cache_dir", "day_deadline_s", "max_day_retries",
+            "retry_backoff_s", "pool_failure_limit", "supervisor_seed"]
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -153,6 +153,23 @@ class TestLeaseProtocol:
         assert requeued.attempts == 0
         assert requeued.lease_token is None
 
+    def test_release_of_running_job_backs_off_without_charge(self, registry):
+        """A store-lease collision: the attempt never ran, so it is
+        refunded, and the job is due again only after the backoff."""
+        submit(registry)
+        job = lease(registry)
+        assert registry.mark_running(job.job_id, job.lease_token, now=111.0)
+        assert registry.release(job.job_id, job.lease_token, now=120.0,
+                                backoff_s=5.0)
+        requeued = registry.get(job.job_id)
+        assert (requeued.state, requeued.attempts) == ("queued", 0)
+        assert requeued.not_before == 125.0
+        assert lease(registry, now=124.0) is None
+        # The stale token can no longer release (or acknowledge) it.
+        assert not registry.release(job.job_id, job.lease_token, now=126.0)
+        again = lease(registry, now=125.0)
+        assert again is not None and again.attempts == 1
+
     def test_mark_running_transition(self, registry):
         submit(registry)
         job = lease(registry)

@@ -6,6 +6,7 @@ tier-1-fast; the real mission path is covered by the chaos suite.
 
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ def fake_execute(results_dir):
     """A stand-in worker: records executions, returns a fake artifact."""
     calls = []
 
-    def execute(job, *, cache_dir, journal_dir, results_dir):
+    def execute(job, *, cache_dir, results_dir):
         calls.append(job.fingerprint)
         return str(results_dir / f"{job.fingerprint}.pkl"), "digest-" + job.fingerprint[:6]
 
@@ -183,3 +184,64 @@ class TestServeMode:
             record = client.status(receipt.job_id)
             assert record.state == "done"
             assert record.completions == 1  # the hung attempt never acked
+
+
+class TestStoreLeaseCollision:
+    def test_quality_twins_both_complete_without_dead_letters(self, root,
+                                                              monkeypatch):
+        """Two submissions of one mission that differ only in ``quality``
+        share a store key.  The one that finds the key's writer lease held
+        never ran, so it is requeued with its attempt refunded — never
+        walked to the dead-letter table by the collision."""
+        from repro import obs
+        from repro.exec.cache import MissionCache
+        from repro.exec.checkpoint import CheckpointJournal, JournalBusyError
+
+        cfg = MissionConfig(days=2, seed=11, frame_dt=10.0, events=None)
+        real = service_mod.worker_mod.execute_job
+        guard = threading.Lock()
+        collided = threading.Event()
+        calls = []
+
+        def execute(job, *, cache_dir, results_dir):
+            with guard:
+                calls.append(job.quality)
+                first = len(calls) == 1
+            if first:
+                # Hold the shared key's writer lease until the twin has
+                # run into it, so the collision is certain, not a race.
+                with CheckpointJournal(MissionCache(cache_dir), cfg,
+                                       owner="holder"):
+                    assert collided.wait(timeout=120)
+            try:
+                return real(job, cache_dir=cache_dir, results_dir=results_dir)
+            except JournalBusyError:
+                collided.set()
+                raise
+
+        monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
+        receipts = [submit_all(root, [cfg], quality=q)[0] for q in ("auto", "gate")]
+        assert receipts[0].fingerprint != receipts[1].fingerprint
+        obs.reset()
+        obs.enable()
+        try:
+            stats = serve(config(root, retry_backoff_s=0.05), drain=True)
+            collisions = obs.logging.buffer.matching("store-lease-collision")
+        finally:
+            obs.reset()
+
+        assert collided.is_set()
+        assert stats["store_busy"] >= 1
+        assert len(collisions) == stats["store_busy"]
+        assert (stats["completed"], stats["failed"], stats["dead"]) == (2, 0, 0)
+        # One day store: the service home keeps no separate journal.
+        assert sorted(p.name for p in Path(root).iterdir()
+                      if p.is_dir()) == ["cache", "results"]
+        with FleetClient(root) as client:
+            assert client.overview()["dead_letters"] == []
+            for receipt in receipts:
+                record = client.status(receipt.job_id)
+                assert record.state == "done"
+                assert record.completions == 1
+                # Collisions are refunded: one charged attempt each.
+                assert record.attempts == 1
