@@ -1,19 +1,22 @@
-"""Day-compute performance regression guard.
+"""Day-compute and crew-truth performance regression guard.
 
 The fleet-batched sensing API bought a >5x speedup of the per-day hot
 path (``compute_day``: wear + sensor synthesis + localization + summary
-reduction); this guard keeps it.  It measures
+reduction), and the vectorized crew-truth loops about 3x on
+``simulate_mission``; this guard keeps both.  It measures
 
 1. a fixed numpy **calibration workload** (pins the machine's array
-   throughput), and
+   throughput),
 2. the **day-compute** path on the standard one-day benchmark mission
-   (``MissionConfig(days=2, seed=13, events=None)``, day 2),
+   (``MissionConfig(days=2, seed=13, events=None)``, day 2), and
+3. **crew truth**: ``simulate_mission`` of that same mission,
 
-then compares the machine-normalized ratio ``day_compute / calibration``
-against the checked-in budget (``benchmarks/perf_budget.json``).  A run
-more than ``headroom`` (25%) over budget exits non-zero, and every run
-writes its raw measurements to ``benchmarks/output/day_compute_guard.json``
-for artifact upload and cross-run diffing.
+then compares each machine-normalized ratio (``day_compute /
+calibration``, ``truth / calibration``) against its checked-in budget
+(``benchmarks/perf_budget.json``).  A run more than ``headroom`` (25%)
+over either budget exits non-zero, and every run writes its raw
+measurements to ``benchmarks/output/day_compute_guard.json`` for
+artifact upload and cross-run diffing.
 
 Run it directly::
 
@@ -55,18 +58,36 @@ def calibration_seconds(rounds: int = 3) -> float:
     return best
 
 
+def _guard_config():
+    from repro.core.config import MissionConfig
+
+    return MissionConfig(days=2, seed=13, events=None)
+
+
+def truth_seconds(rounds: int = 3) -> float:
+    """Best-of-``rounds`` timing of ``simulate_mission`` on the guard mission."""
+    from repro.crew.behavior import simulate_mission
+
+    cfg = _guard_config()
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        simulate_mission(cfg)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def day_compute_seconds(rounds: int = 3) -> float:
     """Best-of-``rounds`` timing of one full instrumented day."""
     from repro.badges.assignment import BadgeAssignment
     from repro.badges.pipeline import SensingModels, make_fleet
     from repro.badges.sdcard import SdCardAccountant
-    from repro.core.config import MissionConfig
     from repro.core.rng import RngRegistry
     from repro.crew.behavior import simulate_mission
     from repro.exec.executor import compute_day
     from repro.localization.pipeline import Localizer
 
-    cfg = MissionConfig(days=2, seed=13, events=None)
+    cfg = _guard_config()
     truth = simulate_mission(cfg)
     assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
     models = SensingModels.default(cfg, truth.plan)
@@ -85,12 +106,16 @@ def day_compute_seconds(rounds: int = 3) -> float:
 
 
 def run_guard(rounds: int = 3) -> dict:
-    """Measure, compare against the budget, and write the report."""
+    """Measure, compare against the budgets, and write the report."""
     budget = json.loads(BUDGET_PATH.read_text())
+    headroom = 1.0 + budget["headroom"]
     calibration_s = calibration_seconds(rounds)
     day_compute_s = day_compute_seconds(rounds)
+    truth_s = truth_seconds(rounds)
     ratio = day_compute_s / calibration_s
-    limit = budget["day_compute_per_calibration"] * (1.0 + budget["headroom"])
+    truth_ratio = truth_s / calibration_s
+    limit = budget["day_compute_per_calibration"] * headroom
+    truth_limit = budget["truth_per_calibration"] * headroom
     report = {
         "calibration_s": round(calibration_s, 4),
         "day_compute_s": round(day_compute_s, 4),
@@ -98,7 +123,11 @@ def run_guard(rounds: int = 3) -> dict:
         "budget_per_calibration": budget["day_compute_per_calibration"],
         "headroom": budget["headroom"],
         "limit_per_calibration": round(limit, 3),
-        "ok": ratio <= limit,
+        "truth_s": round(truth_s, 4),
+        "truth_per_calibration": round(truth_ratio, 3),
+        "truth_budget_per_calibration": budget["truth_per_calibration"],
+        "truth_limit_per_calibration": round(truth_limit, 3),
+        "ok": ratio <= limit and truth_ratio <= truth_limit,
     }
     REPORT_PATH.parent.mkdir(exist_ok=True)
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -108,17 +137,23 @@ def run_guard(rounds: int = 3) -> dict:
 def main() -> int:
     report = run_guard()
     print(json.dumps(report, indent=2))
-    if not report["ok"]:
-        print(
-            f"PERF REGRESSION: day-compute is "
-            f"{report['day_compute_per_calibration']:.2f}x the calibration "
-            f"workload, limit {report['limit_per_calibration']:.2f}x "
-            f"(budget {report['budget_per_calibration']:.2f}x + "
-            f"{report['headroom']:.0%} headroom)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failed = False
+    for stage, key, limit_key, budget_key in (
+        ("day-compute", "day_compute_per_calibration", "limit_per_calibration",
+         "budget_per_calibration"),
+        ("crew truth", "truth_per_calibration", "truth_limit_per_calibration",
+         "truth_budget_per_calibration"),
+    ):
+        if report[key] > report[limit_key]:
+            failed = True
+            print(
+                f"PERF REGRESSION: {stage} is {report[key]:.2f}x the calibration "
+                f"workload, limit {report[limit_key]:.2f}x "
+                f"(budget {report[budget_key]:.2f}x + "
+                f"{report['headroom']:.0%} headroom)",
+                file=sys.stderr,
+            )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,8 @@ MIN_SEGMENT_S = 5.0
 #: Speaker turn length bounds within a burst, seconds.
 TURN_MIN_S, TURN_MAX_S = 2.0, 9.0
 
+_SILENT_CODES = [int(a) for a in SILENT_ACTIVITIES]
+
 
 @dataclass
 class SpeechArrays:
@@ -50,6 +52,7 @@ class ConversationModel:
     def __init__(self, profiles: tuple[Profile, ...], dt: float = 1.0):
         self.profiles = profiles
         self.dt = float(dt)
+        self._talkativeness = np.array([p.talkativeness for p in profiles])
 
     def generate(
         self,
@@ -77,10 +80,12 @@ class ConversationModel:
             loudness=np.zeros((n_crew, n_frames), dtype=np.float32),
             machine_speech=np.zeros((n_crew, n_frames), dtype=bool),
         )
+        turns: list[tuple[int, int, int, float]] = []
         for seg_start, seg_end in self._segments(rooms, activities):
             if (seg_end - seg_start) * self.dt < MIN_SEGMENT_S:
                 continue
-            self._fill_segment(out, rooms, activities, seg_start, seg_end, rng, talk_factor)
+            self._fill_segment(turns, rooms, activities, seg_start, seg_end, rng, talk_factor)
+        _write_turns(out, turns)
         self._fill_tts(out, rooms, activities, rng)
         return out
 
@@ -104,7 +109,7 @@ class ConversationModel:
 
     def _fill_segment(
         self,
-        out: SpeechArrays,
+        turns: list[tuple[int, int, int, float]],
         rooms: np.ndarray,
         activities: np.ndarray,
         s: int,
@@ -114,31 +119,28 @@ class ConversationModel:
     ) -> None:
         room_now = rooms[:, s]
         act_now = activities[:, s]
+        voiced = ~np.isin(act_now, _SILENT_CODES)
         for room in np.unique(room_now):
             if room < 0:
                 continue
-            members = np.flatnonzero(
-                (room_now == room)
-                & ~np.isin(act_now, [int(a) for a in SILENT_ACTIVITIES])
-            )
+            members = np.flatnonzero((room_now == room) & voiced)
             if members.size < 2:
                 continue
             activity = Activity(int(act_now[members[0]]))
             duty, burst_mean, loud_db = talk_regime(activity)
             # Chattier groups chat more: scale duty by mean talkativeness
             # (a group around C barely stops talking).
-            mean_talk = float(
-                np.mean([self.profiles[m].talkativeness for m in members])
-            )
-            duty = min(0.95, duty * talk_factor * (0.55 + 0.9 * mean_talk))
+            talk = self._talkativeness[members]
+            duty = min(0.95, duty * talk_factor * (0.55 + 0.9 * float(np.mean(talk))))
             if duty <= 0.0:
                 continue
-            self._burst_process(out, members, s, e, duty, burst_mean, loud_db, rng)
+            self._burst_process(turns, members, talk, s, e, duty, burst_mean, loud_db, rng)
 
     def _burst_process(
         self,
-        out: SpeechArrays,
+        turns: list[tuple[int, int, int, float]],
         members: np.ndarray,
+        talk: np.ndarray,
         s: int,
         e: int,
         duty: float,
@@ -147,24 +149,23 @@ class ConversationModel:
         rng: np.random.Generator,
     ) -> None:
         """Alternating burst/gap process with talkativeness-weighted turns."""
-        weights = np.array([self.profiles[m].talkativeness for m in members])
-        weights = weights / weights.sum()
+        cdf = speaker_cdf(talk)
         gap_mean_s = burst_mean_s * (1.0 - duty) / max(duty, 1e-6)
+        dt = self.dt
         t = s
         # Randomize the phase: start mid-gap half the time.
         if rng.random() > duty:
-            t += int(rng.exponential(gap_mean_s) / self.dt)
+            t += int(rng.exponential(gap_mean_s) / dt)
         while t < e:
-            burst_frames = max(1, int(rng.exponential(burst_mean_s) / self.dt))
+            burst_frames = max(1, int(rng.exponential(burst_mean_s) / dt))
             burst_end = min(t + burst_frames, e)
             while t < burst_end:
-                turn_frames = max(1, int(rng.uniform(TURN_MIN_S, TURN_MAX_S) / self.dt))
+                turn_frames = max(1, int(rng.uniform(TURN_MIN_S, TURN_MAX_S) / dt))
                 turn_end = min(t + turn_frames, burst_end)
-                speaker = members[int(rng.choice(members.size, p=weights))]
-                out.speaking[speaker, t:turn_end] = True
-                out.loudness[speaker, t:turn_end] = loud_db + rng.normal(0.0, 1.5)
+                speaker = members[cdf.searchsorted(rng.random(), side="right")]
+                turns.append((speaker, t, turn_end, loud_db + rng.normal(0.0, 1.5)))
                 t = turn_end
-            t = burst_end + max(1, int(rng.exponential(gap_mean_s) / self.dt))
+            t = burst_end + max(1, int(rng.exponential(gap_mean_s) / dt))
 
     def _fill_tts(
         self,
@@ -194,3 +195,34 @@ class ConversationModel:
                 window = eligible[t:end]
                 out.machine_speech[row, t:end] = window
                 t = end + max(1, int(rng.exponential(gap_mean_s) / self.dt))
+
+
+def speaker_cdf(talkativeness: np.ndarray) -> np.ndarray:
+    """Cumulative turn weights of a group, normalized as ``Generator.choice`` does.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` then picks a speaker
+    with the one double and the exact search that
+    ``rng.choice(n, p=talkativeness / talkativeness.sum())`` makes, minus
+    its per-call validation.
+    """
+    cdf = (talkativeness / talkativeness.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _write_turns(out: SpeechArrays, turns: list[tuple[int, int, int, float]]) -> None:
+    """Mark every ``(speaker, start, end, loudness)`` turn's frames as speech.
+
+    Turns never overlap on one speaker (segments are disjoint in time,
+    rooms in members, and a burst process only moves forward), so one
+    scatter writes them all.
+    """
+    if not turns:
+        return
+    speaker, start, end, loudness = map(np.array, zip(*turns))
+    counts = end - start
+    offsets = np.cumsum(counts) - counts
+    frames = np.arange(counts.sum()) - np.repeat(offsets - start, counts)
+    rows = np.repeat(speaker, counts)
+    out.speaking[rows, frames] = True
+    out.loudness[rows, frames] = np.repeat(loudness, counts)

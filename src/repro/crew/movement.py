@@ -9,11 +9,12 @@ shrunken wandering extent around the room center (paper Fig. 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.core.errors import SimulationError
 from repro.crew.astronaut import Profile
 from repro.crew.schedule import Slot
 from repro.crew.tasks import Activity
@@ -77,42 +78,65 @@ def wander_rect(profile: Profile, room_rect: Rect) -> Rect:
     return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
 
+def _anchor_sampler(profile: Profile, room_rect: Rect,
+                    activity: Activity) -> Callable[[np.random.Generator], Point]:
+    """:func:`sample_anchor` with the slot's geometry computed once.
+
+    The returned ``draw(rng)`` makes scalar draws in the order of the
+    draw-order contract (DESIGN §13): x then y for a wander anchor (the
+    same two doubles ``Rect.sample(rng, 1)`` consumes), angle then
+    radius around the shared table for group activities.
+    """
+    if activity.is_group:
+        cx, cy = room_rect.center
+        table = room_rect.shrink(WALL_MARGIN_M / 2)
+        lo_x, lo_y, hi_x, hi_y = table.x0, table.y0, table.x1, table.y1
+
+        def draw(rng: np.random.Generator) -> Point:
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            radius = rng.uniform(0.3, GATHER_RADIUS_M)
+            # np.cos/np.sin, not math: the two may differ in the last bit.
+            x = cx + radius * np.cos(angle)
+            y = cy + radius * np.sin(angle)
+            return (min(max(x, lo_x), hi_x), min(max(y, lo_y), hi_y))
+
+        return draw
+    area = wander_rect(profile, room_rect)
+    x0, y0, x1, y1 = area.x0, area.y0, area.x1, area.y1
+
+    def draw(rng: np.random.Generator) -> Point:
+        return (rng.uniform(x0, x1), rng.uniform(y0, y1))
+
+    return draw
+
+
 def sample_anchor(profile: Profile, room_rect: Rect, activity: Activity,
                   rng: np.random.Generator) -> Point:
     """Sample a position to settle at for the current activity."""
-    if activity.is_group:
-        cx, cy = room_rect.center
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = rng.uniform(0.3, GATHER_RADIUS_M)
-        p = (cx + radius * np.cos(angle), cy + radius * np.sin(angle))
-        return room_rect.shrink(WALL_MARGIN_M / 2).clamp(p)
-    pt = wander_rect(profile, room_rect).sample(rng, 1)[0]
-    return (float(pt[0]), float(pt[1]))
+    return _anchor_sampler(profile, room_rect, activity)(rng)
 
 
 def _rasterize_walk(a: Point, waypoints: list[Point], speed: float, dt: float) -> np.ndarray:
-    """Positions at each frame while walking a -> waypoints at ``speed``."""
-    points = [a] + list(waypoints)
-    xs, ys, lengths = [], [], []
-    for p, q in zip(points, points[1:]):
-        seg = float(np.hypot(q[0] - p[0], q[1] - p[1]))
-        lengths.append(seg)
+    """Positions at each frame while walking a -> waypoints at ``speed``.
+
+    Frame ``k`` (1-based) sits ``min(k * speed * dt, total)`` along the
+    path, interpolated within its segment in float64; a zero-length
+    segment is divided by 1.0 instead of 0.
+    """
+    points = np.array([a] + list(waypoints), dtype=np.float64)
+    lengths = [float(np.hypot(q[0] - p[0], q[1] - p[1]))
+               for p, q in zip(points, points[1:])]
     total = sum(lengths)
-    n_frames = max(1, int(np.ceil(total / (speed * dt))))
-    dist_at = np.arange(1, n_frames + 1) * speed * dt
-    dist_at = np.minimum(dist_at, total)
-    out = np.empty((n_frames, 2), dtype=np.float64)
+    n_frames = max(1, math.ceil(total / (speed * dt)))
+    dist_at = np.minimum(np.arange(1, n_frames + 1) * speed * dt, total)
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     seg_idx = np.searchsorted(cum, dist_at, side="right") - 1
     seg_idx = np.clip(seg_idx, 0, len(lengths) - 1)
-    for k in range(n_frames):
-        i = seg_idx[k]
-        seg_len = lengths[i] if lengths[i] > 0 else 1.0
-        frac = (dist_at[k] - cum[i]) / seg_len
-        p, q = points[i], points[i + 1]
-        out[k, 0] = p[0] + frac * (q[0] - p[0])
-        out[k, 1] = p[1] + frac * (q[1] - p[1])
-    return out
+    seg_len = np.array([length if length > 0 else 1.0 for length in lengths])
+    frac = (dist_at - cum[seg_idx]) / seg_len[seg_idx]
+    start = points[seg_idx]
+    delta = (points[1:] - points[:-1])[seg_idx]
+    return start + frac[:, None] * delta
 
 
 class MovementModel:
@@ -197,69 +221,49 @@ class MovementModel:
         rng: np.random.Generator,
         mobility_factor: float,
     ) -> Point:
-        """Dwell/move loop inside the slot's room; returns final position."""
-        plan, dt = self.plan, self.dt
-        room = plan.room(slot.room)
-        room_idx = room.index
-        dwell_mean = DWELL_MEAN_S.get(slot.activity, 90.0)
-        rate = max(profile.mobility * mobility_factor, 0.05)
+        """Dwell/move loop inside the slot's room; returns final position.
+
+        The loop only draws and keeps scalar books: each dwell or walk
+        is recorded as a run, and the frames are written afterwards in
+        one array pass (:func:`_paint_runs`).
+        """
+        if i_start >= i_end:
+            return pos
+        dt, speed = self.dt, profile.walk_speed
+        room = self.plan.room(slot.room)
+        draw_anchor = _anchor_sampler(profile, room.rect, slot.activity)
+        threshold = _min_wander_distance(profile, room.rect)
+        dwell_scale = DWELL_MEAN_S.get(slot.activity, 90.0) / max(
+            profile.mobility * mobility_factor, 0.05
+        )
+        runs: list[tuple] = []  # (first frame, x, y, dx, dy, length, walking)
+        x, y = pos
         i = i_start
         while i < i_end:
-            dwell_s = float(np.clip(rng.exponential(dwell_mean / rate), 8.0, 900.0))
-            n_dwell = max(1, int(round(dwell_s / dt)))
-            j = min(i + n_dwell, i_end)
-            arrays.x[i:j] = pos[0]
-            arrays.y[i:j] = pos[1]
-            arrays.room[i:j] = room_idx
-            arrays.activity[i:j] = int(slot.activity)
-            i = j
+            dwell_s = min(max(rng.exponential(dwell_scale), 8.0), 900.0)
+            runs.append((i, x, y, 0.0, 0.0, 0.0, False))
+            i += max(1, int(round(dwell_s / dt)))
             if i >= i_end:
                 break
-            target = self._distant_anchor(profile, room.rect, slot.activity, pos, rng)
-            walk = _rasterize_walk(pos, [target], profile.walk_speed, dt)
-            n_walk = min(len(walk), i_end - i)
-            if n_walk <= 0:
-                break
-            seg = walk[:n_walk]
-            arrays.x[i:i + n_walk] = seg[:, 0]
-            arrays.y[i:i + n_walk] = seg[:, 1]
-            arrays.room[i:i + n_walk] = room_idx
-            arrays.walking[i:i + n_walk] = True
-            arrays.activity[i:i + n_walk] = int(slot.activity)
-            pos = (float(seg[-1, 0]), float(seg[-1, 1]))
+            tx, ty, dist = _distant_anchor(draw_anchor, threshold, x, y, rng)
+            n_walk = min(max(1, math.ceil(dist / (speed * dt))), i_end - i)
+            runs.append((i, x, y, tx - x, ty - y, dist, True))
+            # The walk's last frame, with the rasterizer's arithmetic.
+            frac = min(n_walk * speed * dt, dist) / (dist if dist > 0 else 1.0)
+            x, y = x + frac * (tx - x), y + frac * (ty - y)
             i += n_walk
-        return pos
-
-    def _distant_anchor(
-        self,
-        profile: Profile,
-        room_rect: Rect,
-        activity: Activity,
-        pos: Point,
-        rng: np.random.Generator,
-        min_distance: float = 1.3,
-        tries: int = 5,
-    ) -> Point:
-        """Sample a wander target a meaningful distance away.
-
-        People cross the room to fetch a tool, not shuffle 20 cm; the
-        minimum is capped by the wanderable area so constrained movers
-        (A) are not forced beyond their comfortable extent.
-        """
-        allowed = wander_rect(profile, room_rect)
-        cap = 0.7 * float(np.hypot(allowed.width, allowed.height))
-        threshold = min(min_distance, cap)
-        target = sample_anchor(profile, room_rect, activity, rng)
-        for _ in range(tries):
-            if np.hypot(target[0] - pos[0], target[1] - pos[1]) >= threshold:
-                break
-            target = sample_anchor(profile, room_rect, activity, rng)
-        return target
+        _paint_runs(arrays, runs, i_end, speed, dt)
+        span = slice(i_start, i_end)
+        arrays.room[span] = room.index
+        arrays.activity[span] = int(slot.activity)
+        return (x, y)
 
     def _fill_outside(self, arrays: DayArrays, profile: Profile, i0: int, i1: int,
                       rng: np.random.Generator) -> None:
         """Fill an EVA window: on the regolith, outside badge coverage."""
         hangar = self.plan.hangar
+        field = hangar.shrink(0.5)
+        x0, y0, x1, y1 = field.x0, field.y0, field.x1, field.y1
         i = i0
         pos = hangar.center
         while i < i1:
@@ -267,12 +271,66 @@ class MovementModel:
             j = min(i + n_dwell, i1)
             arrays.x[i:j] = pos[0]
             arrays.y[i:j] = pos[1]
-            arrays.room[i:j] = OUTSIDE
-            arrays.activity[i:j] = int(Activity.EVA)
             i = j
             if i >= i1:
                 break
-            pt = hangar.shrink(0.5).sample(rng, 1)[0]
-            pos = (float(pt[0]), float(pt[1]))
-        if i1 > i0 and arrays.activity[i0] != int(Activity.EVA):
-            raise SimulationError("EVA fill failed to cover its window")
+            pos = (rng.uniform(x0, x1), rng.uniform(y0, y1))
+        arrays.room[i0:i1] = OUTSIDE
+        arrays.activity[i0:i1] = int(Activity.EVA)
+
+
+def _min_wander_distance(profile: Profile, room_rect: Rect,
+                         min_distance: float = 1.3) -> float:
+    """How far a wander target must be from the current position.
+
+    People cross the room to fetch a tool, not shuffle 20 cm; the
+    minimum is capped by the wanderable area so constrained movers (A)
+    are not forced beyond their comfortable extent.
+    """
+    allowed = wander_rect(profile, room_rect)
+    cap = 0.7 * float(np.hypot(allowed.width, allowed.height))
+    return min(min_distance, cap)
+
+
+def _distant_anchor(
+    draw_anchor: Callable[[np.random.Generator], Point],
+    threshold: float,
+    x: float,
+    y: float,
+    rng: np.random.Generator,
+    tries: int = 5,
+) -> tuple[float, float, float]:
+    """A wander target at least ``threshold`` away, after up to ``tries``
+    redraws; returns ``(tx, ty, distance)``."""
+    tx, ty = draw_anchor(rng)
+    # np.hypot, not math.hypot: the two may round differently.
+    dist = float(np.hypot(tx - x, ty - y))
+    for _ in range(tries):
+        if dist >= threshold:
+            break
+        tx, ty = draw_anchor(rng)
+        dist = float(np.hypot(tx - x, ty - y))
+    return tx, ty, dist
+
+
+def _paint_runs(arrays: DayArrays, runs: list[tuple], i_end: int, speed: float,
+                dt: float) -> None:
+    """Write the positions and walking flags of ``runs`` up to ``i_end``.
+
+    A dwell holds its start position; frame ``k`` (1-based) of a walk
+    sits ``min(k * speed * dt, length)`` along its single segment — the
+    same float64 operations as :func:`_rasterize_walk`, so the frames
+    are bit-identical to rasterizing each walk on its own.
+    """
+    first, x, y, dx, dy, length, walking = map(np.array, zip(*runs))
+    counts = np.diff(first, append=i_end)
+    k = np.arange(first[0], i_end) - np.repeat(first, counts) + 1
+    length = np.repeat(length, counts)
+    walking = np.repeat(walking, counts)
+    frac = np.minimum(k * speed * dt, length) / np.where(length > 0, length, 1.0)
+    x = np.repeat(x, counts)
+    y = np.repeat(y, counts)
+    span = slice(first[0], i_end)
+    arrays.x[span] = np.where(walking, x + frac * np.repeat(dx, counts), x)
+    arrays.y[span] = np.where(walking, y + frac * np.repeat(dy, counts), y)
+    arrays.walking[span] |= walking
