@@ -314,7 +314,6 @@ def _service_config(args: argparse.Namespace):
         queue_depth=args.queue_depth,
         lease_s=args.lease_s,
         max_attempts=args.max_attempts,
-        backoff_seed=args.backoff_seed,
         job_timeout_s=args.job_timeout_s,
     )
 
@@ -558,8 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--max-attempts", type=int, default=3,
                        help="retry budget before a job is dead-lettered "
                             "(default: 3)")
-        p.add_argument("--backoff-seed", type=int, default=0,
-                       help="seed of the jittered retry backoff (default: 0)")
         p.add_argument("--job-timeout-s", type=float, default=None,
                        help="per-attempt deadline: past it the worker stops "
                             "renewing its lease so the job is reclaimed")

@@ -91,12 +91,11 @@ class ExecutionConfig:
         max_day_retries: times the supervisor re-runs one day after a
             timeout or pool breakage before degrading to serial.
         retry_backoff_s: base of the supervisor's exponential retry
-            backoff (scaled by seeded jitter).
+            backoff (scaled by jitter of a fixed seed, so retry
+            schedules are reproducible).
         pool_failure_limit: consecutive pool failures without progress
             before the supervisor gives up and the remaining days run
             serially.
-        supervisor_seed: seed of the supervisor's jitter RNG, so retry
-            schedules are reproducible.
     """
 
     n_workers: int | str = "serial"
@@ -105,7 +104,6 @@ class ExecutionConfig:
     max_day_retries: int = 2
     retry_backoff_s: float = 0.05
     pool_failure_limit: int = 3
-    supervisor_seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.n_workers, str):

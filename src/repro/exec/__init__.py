@@ -39,7 +39,6 @@ from repro.exec.executor import (
     DayOutcome,
     ExecutorUnavailable,
     compute_day,
-    run_days_parallel,
 )
 from repro.exec.hashing import (
     SCHEMA_VERSION,
@@ -66,7 +65,6 @@ __all__ = [
     "MissionCache",
     "SCHEMA_VERSION",
     "compute_day",
-    "run_days_parallel",
     "run_days_supervised",
     "sensing_fingerprint",
     "truth_compatible",

@@ -1,11 +1,11 @@
 """Worker supervision: deadlines, retries, and broken-pool recovery.
 
-:func:`repro.exec.executor.run_days_parallel` is the optimistic fan-out:
-one pool, one ``map``, and any worker death loses the whole wave.  For a
-long unattended sweep — the failure mode field deployments of distributed
-instruments keep reporting — the mission driver uses this module's
-:func:`run_days_supervised` instead, which wraps the same bit-identical
-per-day work in a supervision loop:
+A single optimistic fan-out — one pool, one ``map`` — loses the whole
+wave to any worker death.  For a long unattended sweep — the failure
+mode field deployments of distributed instruments keep reporting — the
+mission driver runs every pool through :func:`run_days_supervised`,
+which wraps the bit-identical per-day work of
+:func:`repro.exec.executor.compute_day` in a supervision loop:
 
 * **deadlines** — a day that runs longer than
   ``ExecutionConfig.day_deadline_s`` in a worker is treated as hung: the
@@ -20,8 +20,8 @@ per-day work in a supervision loop:
   happens — then respawns the pool and resubmits only the unfinished
   days;
 * **seeded-jitter backoff** — respawns back off through the shared
-  :class:`~repro.core.backoff.BackoffPolicy`, seeded by
-  ``supervisor_seed``, so retry storms desynchronize reproducibly;
+  :class:`~repro.core.backoff.BackoffPolicy` with seed 0, so retry
+  storms desynchronize reproducibly;
 * **bounded degradation** — after ``pool_failure_limit`` consecutive
   pool failures with no salvaged progress the supervisor raises
   :class:`~repro.exec.executor.ExecutorUnavailable` and the mission
@@ -204,7 +204,7 @@ def run_days_supervised(
     to_crash = frozenset(crash_days) & set(pending)
     to_hang = frozenset(hang_days) & set(pending)
     backoff = BackoffPolicy(base_s=execution.retry_backoff_s,
-                            cap_s=_BACKOFF_CAP_S, seed=execution.supervisor_seed)
+                            cap_s=_BACKOFF_CAP_S, seed=0)
     pool_failures = 0
     respawns = 0
 

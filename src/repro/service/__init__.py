@@ -3,9 +3,10 @@
 The long-running counterpart to calling :func:`repro.run_mission` by
 hand (ROADMAP item 2): mission/ablation submissions go into a durable
 SQLite registry, are deduplicated by their content-addressed submission
-fingerprint, and drain through a supervised asyncio worker pool with
-exactly-once execution per fingerprint — across duplicate submitters,
-worker failures, and ``kill -9`` of the whole service.
+fingerprint, and drain through asyncio workers that lease straight
+from the registry (it is the only queue), with exactly-once execution
+per fingerprint — across duplicate submitters, worker failures, and
+``kill -9`` of the whole service.
 
 Layering (each module depends only on those above it):
 
@@ -18,8 +19,9 @@ Layering (each module depends only on those above it):
   dead-letter table;
 - :mod:`repro.service.worker` — one leased job through the mission
   engine, resuming from the days already in the shared store;
-- :mod:`repro.service.service` — :class:`FleetService`, the supervised
-  asyncio loop (scheduler, workers, heartbeats, recovery, probes);
+- :mod:`repro.service.service` — :class:`FleetService`, the asyncio
+  loop: workers that lease, run, heartbeat and acknowledge jobs against
+  the registry, plus a supervisor (expiry sweep, probes, drain/stop);
 - :mod:`repro.service.client` — :class:`FleetClient`, the thin
   registry-backed client the CLI wraps.
 

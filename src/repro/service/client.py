@@ -20,7 +20,7 @@ from repro.experiments.submission import (
     submission_fingerprint,
 )
 from repro.service import worker as worker_mod
-from repro.service.config import DB_NAME
+from repro.service.config import DB_NAME, NOMINAL_JOB_S
 from repro.service.errors import ServiceError
 from repro.service.registry import JobRecord, MissionRegistry
 
@@ -72,11 +72,10 @@ class FleetClient:
         """
         fingerprint = submission_fingerprint(cfg, quality)
         n_workers = int(self.registry.get_meta("n_workers", 1))
-        nominal = float(self.registry.get_meta("nominal_job_s", 5.0))
         record, deduped = self.registry.submit(
             fingerprint=fingerprint, config=config_to_dict(cfg),
             quality=quality, tenant=tenant, now=time.time(),
-            retry_after=lambda depth: max(1.0, depth * nominal / n_workers))
+            retry_after=lambda depth: max(1.0, depth * NOMINAL_JOB_S / n_workers))
         return SubmitReceipt(
             job_id=record.job_id, fingerprint=record.fingerprint,
             state=record.state, deduped=deduped,

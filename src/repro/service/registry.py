@@ -385,7 +385,8 @@ class MissionRegistry:
 
         Returns False (and changes nothing) when the lease was lost —
         a requeued twin may be running, and only the current token
-        holder may acknowledge.  The transition is durably committed
+        holder may acknowledge — or when the job was never marked
+        running (``leased → done`` is not an edge).  The transition is durably committed
         before True is returned: that ordering is the exactly-once
         acknowledgement contract.
         """
@@ -394,7 +395,7 @@ class MissionRegistry:
                 "UPDATE jobs SET state='done', completions = completions + 1,"
                 " result_path=?, result_digest=?, finished_at=?, error=NULL,"
                 " lease_deadline=NULL "
-                "WHERE job_id=? AND lease_token=? AND state IN ('leased','running')",
+                "WHERE job_id=? AND lease_token=? AND state='running'",
                 (result_path, result_digest, now, job_id, token))
             if cur.rowcount != 1:
                 return False
@@ -426,10 +427,9 @@ class MissionRegistry:
                 backoff_s: float = 0.0) -> bool:
         """``leased|running → queued`` without charging the budget.
 
-        For attempts whose work never ran: leases nobody started at
-        graceful shutdown, and jobs whose store key another live worker
-        holds (due again after ``backoff_s``).  The attempt charged at
-        lease time is refunded.
+        For attempts whose work never ran: a job whose store key
+        another live worker holds is due again after ``backoff_s``.
+        The attempt charged at lease time is refunded.
         """
         with self._tx() as cur:
             row = cur.execute(

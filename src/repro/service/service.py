@@ -1,21 +1,24 @@
 """The long-running mission fleet service.
 
-``FleetService.run()`` drives the whole lifecycle on one asyncio loop:
+The durable registry is the service's only queue.  ``FleetService.run()``
+drives one asyncio loop of ``n_workers`` **worker** tasks, each running
+the whole job protocol straight against the registry:
+:meth:`~repro.service.registry.MissionRegistry.lease_next` →
+``mark_running`` → the mission in a thread
+(:func:`repro.service.worker.execute_job`) under a heartbeat that keeps
+the lease alive → ``complete`` / ``fail`` / ``release``.  A worker only
+leases when it is free to run the job, so no lease ever waits unstarted;
+an idle worker asks again after :data:`POLL_S` (or as soon as the
+service stops).  A job that outlives the optional per-job deadline stops
+being heartbeated on purpose, and the lease-expiry sweep reclaims it.
 
-* a **scheduler** task leases due jobs from the durable registry and
-  feeds a bounded :class:`asyncio.Queue` (depth = worker count — leases
-  are only taken when a worker slot is in sight, so lease ages stay
-  short and backpressure reaches the registry, where admission control
-  rejects submissions past the configured backlog);
-* ``n_workers`` **worker** tasks drain the queue, each running its
-  mission in a thread (:func:`repro.service.worker.execute_job`) under a
-  heartbeat that keeps the lease alive — until the optional per-job
-  deadline passes, after which the heartbeat stops on purpose and the
-  lease-expiry sweep reclaims the job;
-* the scheduler doubles as **supervisor**: it heartbeats jobs still
-  waiting in the queue, requeues expired leases with seeded-jitter
-  exponential backoff (dead-lettering past the retry budget), refreshes
-  the health probe, and exports the ``service.*`` telemetry.
+Beside the workers, a **supervisor** requeues expired leases with
+seeded-jitter exponential backoff (dead-lettering past the retry
+budget), refreshes the health probe and the ``service.queue_depth``
+gauge, and detects drain or stop; it ends the run by setting the one
+stop event the workers exit on once idle.  Backpressure lives at the
+registry, where admission control rejects submissions past the
+configured backlog.
 
 Crash recovery is a property of the registry + store, not of this
 loop: on startup the service requeues every lease whose owning process
@@ -49,6 +52,10 @@ from repro.service.registry import JobRecord, MissionRegistry
 
 log = get_logger("repro.service")
 
+#: Seconds an idle worker (or the supervisor) waits before asking the
+#: registry again; a stop request cuts the wait short.
+POLL_S = 0.05
+
 
 class FleetService:
     """Supervised async mission fleet service over one durable registry."""
@@ -59,13 +66,9 @@ class FleetService:
         self.chaos = chaos or ServiceChaos()
         self.owner = f"{socket.gethostname()}:{os.getpid()}"
         self.registry: Optional[MissionRegistry] = None
-        self._backoff = BackoffPolicy(
-            base_s=config.retry_backoff_s, seed=config.backoff_seed)
-        self._queue: Optional[asyncio.Queue] = None
+        self._backoff = BackoffPolicy(base_s=config.retry_backoff_s, seed=0)
         self._stop = asyncio.Event()
-        #: Leased jobs sitting in the asyncio queue (scheduler keeps
-        #: their leases alive until a worker picks them up).
-        self._awaiting: dict[str, JobRecord] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.stats = {
             "completed": 0, "failed": 0, "dead": 0, "requeued": 0,
             "recovered_on_start": 0, "lease_lost": 0, "store_busy": 0,
@@ -74,8 +77,14 @@ class FleetService:
     # -- lifecycle ---------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Ask the service to shut down gracefully (signal-handler safe)."""
-        self._stop.set()
+        """Ask the service to shut down gracefully.  Safe from signal
+        handlers and from other threads: while the service runs, the
+        stop event is set on its own loop (asyncio events are not
+        thread-safe)."""
+        if self._loop is None:
+            self._stop.set()
+        else:
+            self._loop.call_soon_threadsafe(self._stop.set)
 
     async def run(self, *, drain: bool = False,
                   install_signal_handlers: bool = False) -> dict:
@@ -87,7 +96,7 @@ class FleetService:
         self.registry = MissionRegistry.open(cfg.db_path, create=True)
         self.registry.set_meta(
             queue_depth=cfg.queue_depth, max_attempts=cfg.max_attempts,
-            n_workers=cfg.n_workers, nominal_job_s=cfg.nominal_job_s)
+            n_workers=cfg.n_workers)
         now = time.time()
         recovered = self.registry.recover_orphans(
             now=now, backoff=lambda attempts: 0.0)
@@ -99,7 +108,7 @@ class FleetService:
         self.registry.set_probe(owner=self.owner, pid=os.getpid(),
                                 state="ready", now=now)
 
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         if install_signal_handlers:
             for sig in (signal.SIGINT, signal.SIGTERM):
                 try:
@@ -107,58 +116,46 @@ class FleetService:
                 except (NotImplementedError, RuntimeError):
                     pass
 
-        self._queue = asyncio.Queue(maxsize=cfg.n_workers)
         workers = [
-            asyncio.create_task(self._worker(i), name=f"service-worker-{i}")
+            asyncio.create_task(self._worker(), name=f"service-worker-{i}")
             for i in range(cfg.n_workers)
         ]
+        drained = False
         try:
-            await self._supervise(drain=drain)
+            drained = await self._supervise(drain=drain)
         finally:
-            # Graceful shutdown: release leases nobody started, then let
-            # in-flight work finish and acknowledge.
-            while self._queue is not None and not self._queue.empty():
-                job = self._queue.get_nowait()
-                if job is not None:
-                    self._awaiting.pop(job.job_id, None)
-                    self.registry.release(job.job_id, job.lease_token,
-                                          now=time.time())
-            for _ in workers:
-                await self._queue.put(None)
+            # Graceful shutdown: workers finish and acknowledge their
+            # in-flight job, then exit without leasing another.
+            self._stop.set()
             await asyncio.gather(*workers, return_exceptions=True)
+            self._loop = None
             self.registry.set_probe(
                 owner=self.owner, pid=os.getpid(),
-                state="drained" if drain and not self._stop.is_set() else "stopped",
-                now=time.time())
+                state="drained" if drained else "stopped", now=time.time())
             self.registry.close()
         return dict(self.stats)
 
-    # -- supervisor / scheduler ---------------------------------------------
+    async def _idle(self) -> None:
+        """Wait one poll interval, or less if a stop is requested."""
+        try:
+            await asyncio.wait_for(self._stop.wait(), timeout=POLL_S)
+        except asyncio.TimeoutError:
+            pass
 
-    async def _supervise(self, *, drain: bool) -> None:
+    # -- supervisor ---------------------------------------------------------
+
+    async def _supervise(self, *, drain: bool) -> bool:
+        """Sweep expired leases and refresh the probe until stopped;
+        returns True when the run ended because the registry drained."""
         cfg = self.config
         registry = self.registry
         last_probe = 0.0
         while not self._stop.is_set():
             now = time.time()
-            leased = None
-            if not self._queue.full():
-                leased = registry.lease_next(
-                    owner=self.owner, pid=os.getpid(), now=now,
-                    lease_s=cfg.lease_s)
-            if leased is not None:
-                self._awaiting[leased.job_id] = leased
-                await self._queue.put(leased)
-                continue
-            # Keep queued-but-unstarted leases alive; workers own the
-            # heartbeats of jobs they have picked up.
-            for job in list(self._awaiting.values()):
-                registry.heartbeat(job.job_id, job.lease_token,
-                                   now=now, lease_s=cfg.lease_s)
             requeued = registry.recover_expired(
                 now=now, backoff=self._backoff.delay_s)
             self.stats["requeued"] += len(requeued)
-            if now - last_probe >= cfg.effective_heartbeat_s:
+            if now - last_probe >= cfg.heartbeat_s:
                 last_probe = now
                 counts = registry.counts()
                 registry.set_probe(owner=self.owner, pid=os.getpid(),
@@ -169,27 +166,25 @@ class FleetService:
                         "service.queue_depth",
                         "jobs occupying backlog slots (queued+leased+running)",
                     ).set(registry.active_count())
-            if drain and registry.active_count() == 0 and not self._awaiting:
+            if drain and registry.active_count() == 0:
                 log.info("drain-complete", stats=dict(self.stats))
-                return
-            try:
-                await asyncio.wait_for(self._stop.wait(), timeout=cfg.poll_s)
-            except asyncio.TimeoutError:
-                pass
+                return True
+            await self._idle()
+        return False
 
     # -- workers ------------------------------------------------------------
 
-    async def _worker(self, index: int) -> None:
+    async def _worker(self) -> None:
         cfg = self.config
         registry = self.registry
-        while True:
-            job = await self._queue.get()
+        while not self._stop.is_set():
+            job = registry.lease_next(owner=self.owner, pid=os.getpid(),
+                                      now=time.time(), lease_s=cfg.lease_s)
             if job is None:
-                return
-            self._awaiting.pop(job.job_id, None)
+                await self._idle()
+                continue
             now = time.time()
             if not registry.mark_running(job.job_id, job.lease_token, now):
-                # Lease expired while queued; the requeued twin owns it now.
                 self.stats["lease_lost"] += 1
                 continue
             beat = asyncio.create_task(
@@ -204,22 +199,24 @@ class FleetService:
             except Exception as exc:  # noqa: BLE001 — any job error is a job failure
                 self._fail(job, f"{type(exc).__name__}: {exc}")
             else:
-                done_at = time.time()
-                if registry.complete(job.job_id, job.lease_token,
-                                     result_path=path, result_digest=digest,
-                                     now=done_at):
-                    self.stats["completed"] += 1
-                    if _obs.enabled and job.leased_at is not None:
-                        _metrics.histogram(
-                            "service.lease_age_s",
-                            "lease age at completion, seconds",
-                        ).observe(done_at - job.leased_at, tenant=job.tenant)
-                    self.chaos.on_completion(self.stats["completed"])
-                else:
-                    self.stats["lease_lost"] += 1
-                    log.warning("stale-completion-rejected", job_id=job.job_id)
+                self._complete(job, path, digest)
             finally:
                 beat.cancel()
+
+    def _complete(self, job: JobRecord, path: str, digest: str) -> None:
+        done_at = time.time()
+        if not self.registry.complete(job.job_id, job.lease_token,
+                                      result_path=path, result_digest=digest,
+                                      now=done_at):
+            self.stats["lease_lost"] += 1
+            log.warning("stale-completion-rejected", job_id=job.job_id)
+            return
+        self.stats["completed"] += 1
+        if _obs.enabled and job.leased_at is not None:
+            _metrics.histogram(
+                "service.lease_age_s", "lease age at completion, seconds",
+            ).observe(done_at - job.leased_at, tenant=job.tenant)
+        self.chaos.on_completion(self.stats["completed"])
 
     def _collided(self, job: JobRecord, exc: JournalBusyError) -> None:
         """Another live worker holds this job's store key: the attempt
@@ -249,7 +246,7 @@ class FleetService:
     async def _heartbeat(self, job: JobRecord, *, started: float) -> None:
         cfg = self.config
         while True:
-            await asyncio.sleep(cfg.effective_heartbeat_s)
+            await asyncio.sleep(cfg.heartbeat_s)
             if (cfg.job_timeout_s is not None
                     and time.time() - started > cfg.job_timeout_s):
                 # Deliberately stop renewing: the lease expires and the

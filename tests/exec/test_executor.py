@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.config import ExecutionConfig, MissionConfig
 from repro.core.errors import ConfigError
-from repro.exec.executor import ExecutorUnavailable, run_days_parallel
 from repro.experiments.mission import MissionResult, run_mission
 from repro.faults import FaultCampaign
 
@@ -82,12 +81,6 @@ class TestSerialFallback:
         forced = run_mission(cfg, execution=ExecutionConfig(n_workers=4))
         assert_bit_identical(serial, forced)
 
-    def test_run_days_parallel_refuses_fault_plans(self, cfg):
-        plan = FaultCampaign.reference(days=3, seed=1).generate()
-        faulted = dataclasses.replace(cfg, fault_plan=plan)
-        with pytest.raises(ExecutorUnavailable):
-            run_days_parallel(faulted, None, None, None, [2, 3], 4)
-
     def test_unpicklable_override_falls_back(self, cfg, serial_result):
         from repro.badges.pipeline import SensingModels
 
@@ -152,7 +145,7 @@ class TestExecutionConfig:
         assert not ExecutionConfig(cache_dir=None).cache_active
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
             "n_workers", "cache_dir", "day_deadline_s", "max_day_retries",
-            "retry_backoff_s", "pool_failure_limit", "supervisor_seed"]
+            "retry_backoff_s", "pool_failure_limit"]
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

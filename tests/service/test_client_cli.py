@@ -109,8 +109,7 @@ class TestUnreachableRegistry:
 class TestBackpressure:
     def test_queue_full_exits_75_with_retry_hint(self, root, capsys):
         with FleetClient(root, create=True) as client:
-            client.registry.set_meta(queue_depth=1, n_workers=1,
-                                     nominal_job_s=5.0)
+            client.registry.set_meta(queue_depth=1, n_workers=1)
         assert main(SUBMIT + ["--service", root]) == 0
         capsys.readouterr()
         assert main(["submit", "--days", "2", "--seed", "99",

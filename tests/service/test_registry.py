@@ -37,6 +37,13 @@ def lease(registry, *, now: float = 110.0, lease_s: float = 30.0,
                                now=now, lease_s=lease_s)
 
 
+def start(registry, *, now: float = 110.0, **kwargs):
+    """Lease the next job and mark it running, as a service worker does."""
+    job = lease(registry, now=now, **kwargs)
+    assert registry.mark_running(job.job_id, job.lease_token, now=now)
+    return job
+
+
 class TestAdmission:
     def test_submit_and_get(self, registry):
         record, deduped = submit(registry)
@@ -56,7 +63,7 @@ class TestAdmission:
 
     def test_done_job_still_dedupes(self, registry):
         record, _ = submit(registry)
-        job = lease(registry)
+        job = start(registry)
         assert registry.complete(job.job_id, job.lease_token, result_path="r",
                                  result_digest="d", now=120.0)
         _, deduped = submit(registry)
@@ -75,7 +82,7 @@ class TestAdmission:
 
     def test_terminal_jobs_free_backlog_slots(self, registry):
         submit(registry, 0, queue_depth=1)
-        job = lease(registry)
+        job = start(registry)
         registry.complete(job.job_id, job.lease_token, result_path="r",
                           result_digest="d", now=120.0)
         record, deduped = submit(registry, 1, queue_depth=1)
@@ -130,7 +137,7 @@ class TestLeaseProtocol:
 
     def test_complete_is_token_guarded(self, registry):
         submit(registry)
-        job = lease(registry)
+        job = start(registry)
         assert not registry.complete(job.job_id, "stale-token",
                                      result_path="r", result_digest="d",
                                      now=120.0)
@@ -143,6 +150,18 @@ class TestLeaseProtocol:
                                      result_path="r2", result_digest="d2",
                                      now=121.0)
         assert registry.get(job.job_id).completions == 1
+
+    def test_complete_requires_running(self, registry):
+        """A lease that never ran cannot be acknowledged: ``leased → done``
+        is not an edge, and nothing reaches the audit table."""
+        submit(registry)
+        job = lease(registry)
+        assert not registry.complete(job.job_id, job.lease_token,
+                                     result_path="r", result_digest="d",
+                                     now=120.0)
+        assert registry.get(job.job_id).state == "leased"
+        assert [dst for (_, _, dst, _) in registry.transitions(job.job_id)] == [
+            "queued", "leased"]
 
     def test_release_refunds_the_attempt(self, registry):
         submit(registry)
@@ -206,11 +225,12 @@ class TestRetriesAndDeadLetters:
 
     def test_transitions_are_audited(self, registry):
         submit(registry, now=100.0)
-        job = lease(registry, now=110.0)
+        job = start(registry, now=110.0)
         registry.complete(job.job_id, job.lease_token, result_path="r",
                           result_digest="d", now=120.0)
-        dsts = [dst for (_, _, dst, _) in registry.transitions(job.job_id)]
-        assert dsts == ["queued", "leased", "done"]
+        moves = [(src, dst) for (_, src, dst, _) in registry.transitions(job.job_id)]
+        assert [dst for _, dst in moves] == ["queued", "leased", "running", "done"]
+        assert moves[-1] == ("running", "done")
 
 
 class TestRecovery:
@@ -227,9 +247,9 @@ class TestRecovery:
     def test_stale_holder_cannot_ack_after_recovery(self, registry):
         """The split-brain case: old worker finishes after its lease expired."""
         submit(registry)
-        stale = lease(registry, now=110.0, lease_s=30.0)
+        stale = start(registry, now=110.0, lease_s=30.0)
         registry.recover_expired(now=141.0, backoff=NO_BACKOFF)
-        fresh = lease(registry, now=142.0)
+        fresh = start(registry, now=142.0)
         assert fresh.lease_token != stale.lease_token
         assert not registry.complete(stale.job_id, stale.lease_token,
                                      result_path="r", result_digest="d",
@@ -260,7 +280,7 @@ class TestRecovery:
     def test_reopen_sees_everything(self, registry, tmp_path):
         """Durability: a fresh connection sees the committed state."""
         record, _ = submit(registry)
-        job = lease(registry)
+        job = start(registry)
         registry.complete(job.job_id, job.lease_token, result_path="r",
                           result_digest="d", now=120.0)
         with MissionRegistry.open(tmp_path / "registry.db") as reopened:

@@ -4,6 +4,7 @@
 tier-1-fast; the real mission path is covered by the chaos suite.
 """
 
+import dataclasses
 import threading
 import time
 from pathlib import Path
@@ -18,6 +19,7 @@ from repro.service import (
     serve,
 )
 from repro.service import service as service_mod
+from repro.service.config import NOMINAL_JOB_S
 
 
 @pytest.fixture()
@@ -39,7 +41,6 @@ def fake_execute(results_dir):
 def config(root, **kwargs) -> ServiceConfig:
     kwargs.setdefault("n_workers", 2)
     kwargs.setdefault("lease_s", 5.0)
-    kwargs.setdefault("poll_s", 0.01)
     kwargs.setdefault("retry_backoff_s", 0.0)
     return ServiceConfig(root=root, **kwargs)
 
@@ -47,6 +48,24 @@ def config(root, **kwargs) -> ServiceConfig:
 def submit_all(root, configs, **kwargs):
     with FleetClient(root, create=True) as client:
         return [client.submit(cfg, **kwargs) for cfg in configs]
+
+
+class TestConfig:
+    def test_fields_are_pinned(self):
+        """Seven knobs; the heartbeat is derived from the lease, the poll
+        interval, backoff seed and nominal job time are constants."""
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "root", "n_workers", "queue_depth", "lease_s", "max_attempts",
+            "retry_backoff_s", "job_timeout_s"]
+        assert ServiceConfig(root="r", lease_s=9.0).heartbeat_s == 3.0
+        assert service_mod.POLL_S == 0.05
+        assert NOMINAL_JOB_S == 5.0
+
+    def test_service_publishes_only_what_clients_read(self, root):
+        serve(config(root, n_workers=3), drain=True)
+        with FleetClient(root) as client:
+            assert client.registry.get_meta("n_workers") == 3
+            assert client.registry.get_meta("nominal_job_s") is None
 
 
 class TestDrain:
@@ -175,8 +194,8 @@ class TestServeMode:
         monkeypatch.setattr(service_mod.worker_mod, "execute_job", hang_once)
         (receipt,) = submit_all(root, [MissionConfig(days=2, seed=1)])
         stats = serve(
-            config(root, n_workers=1, lease_s=0.3, heartbeat_s=0.05,
-                   job_timeout_s=0.2, max_attempts=3),
+            config(root, n_workers=1, lease_s=0.3, job_timeout_s=0.2,
+                   max_attempts=3),
             drain=True)
         assert hangs["n"] >= 2
         assert stats["requeued"] >= 1

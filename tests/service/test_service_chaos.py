@@ -87,7 +87,7 @@ class TestServiceKilledMidDrain:
         with FleetClient(baseline_root, create=True) as client:
             baseline_receipts = [client.submit(cfg) for cfg in _configs()]
         stats = serve(ServiceConfig(root=str(baseline_root), n_workers=2,
-                                    lease_s=10.0, poll_s=0.01), drain=True)
+                                    lease_s=10.0), drain=True)
         assert stats["completed"] == N_DISTINCT
         with FleetClient(baseline_root) as client:
             baseline_digests = {
